@@ -63,9 +63,9 @@ void RunInProcess(BenchReporter& reporter, uint16_t hosts, bool ack) {
   uint64_t retries = 0;
   HistogramSnapshot rd;
   for (uint16_t h = 0; h < hosts; ++h) {
-    messages += (*cluster)->node(h).counters().messages_sent;
-    bounces += (*cluster)->node(h).bounced_requests();
-    retries += (*cluster)->node(h).fault_retries();
+    messages += (*cluster)->node(h).counter(Metric::kMessagesSent);
+    bounces += (*cluster)->node(h).counter(Metric::kBouncedRequests);
+    retries += (*cluster)->node(h).counter(Metric::kFaultRetries);
     rd.Merge((*cluster)->node(h).read_fault_latency());
   }
   std::printf("  %-8u %-6s %-10s %10lu %8lu %8lu %10.1f %9.0f\n", hosts, ack ? "on" : "off",

@@ -54,10 +54,10 @@ GranResult Run(bool page_based, int rounds, int vars_per_host) {
   timing.ns_per_work_unit = 50.0;
   timing.num_hosts = 2;
   for (uint16_t h = 0; h < 2; ++h) {
-    const HostCounters c = (*cluster)->node(h).counters();
-    out.read_faults += c.read_faults;
-    out.write_faults += c.write_faults;
-    out.data_bytes += c.read_fault_bytes + c.write_fault_bytes;
+    const CounterValues c = (*cluster)->node(h).metrics().Counters();
+    out.read_faults += c[Metric::kReadFaults];
+    out.write_faults += c[Metric::kWriteFaults];
+    out.data_bytes += c[Metric::kReadFaultBytes] + c[Metric::kWriteFaultBytes];
     for (const EpochRecord& r : (*cluster)->node(h).epochs()) {
       timing.epochs.push_back(r);
     }

@@ -85,13 +85,13 @@ ContentionResult RunContention(uint16_t hosts, ManagerPolicy policy, bool conten
   out.wall_ms = static_cast<double>(MonotonicNowNs() - t0) / 1e6;
   std::vector<uint64_t> per_shard;
   for (uint16_t h = 0; h < hosts; ++h) {
-    Directory* dir = (*cluster)->node(h).directory();
-    if (dir == nullptr) {
+    DsmNode& node = (*cluster)->node(h);
+    if (node.directory() == nullptr) {
       continue;
     }
-    per_shard.push_back(dir->counters().requests_served);
-    out.requests_served += dir->counters().requests_served;
-    out.remote_routed += dir->counters().remote_routed;
+    per_shard.push_back(node.counter(Metric::kRequestsServed));
+    out.requests_served += node.counter(Metric::kRequestsServed);
+    out.remote_routed += node.counter(Metric::kRemoteRouted);
   }
   out.active_shards = static_cast<int>(per_shard.size());
   const double mean =
@@ -133,13 +133,13 @@ ContentionResult RunFanout(uint16_t hosts, ManagerPolicy policy) {
   ContentionResult out;
   out.wall_ms = static_cast<double>(MonotonicNowNs() - t0) / 1e6;
   for (uint16_t h = 0; h < hosts; ++h) {
-    Directory* dir = (*cluster)->node(h).directory();
-    if (dir == nullptr) {
+    DsmNode& node = (*cluster)->node(h);
+    if (node.directory() == nullptr) {
       continue;
     }
     out.active_shards++;
-    out.requests_served += dir->counters().requests_served;
-    out.remote_routed += dir->counters().remote_routed;
+    out.requests_served += node.counter(Metric::kRequestsServed);
+    out.remote_routed += node.counter(Metric::kRemoteRouted);
   }
   return out;
 }

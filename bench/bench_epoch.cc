@@ -23,15 +23,17 @@ namespace {
 // Header-only epoch arithmetic: what every single send and receive pays.
 void BenchTagOps(BenchReporter& reporter, const BenchEnv& env) {
   const int iters = env.Scaled(2'000'000, 50'000);
+  const WireCodec codec = WireCodec::For(64);
   volatile uint32_t sink = 0;
   const double us = MeasureUs(
       [&] {
         // One send-side pack plus the receive-side unpack and staleness gate,
         // over a rolling epoch so the wraparound comparison is exercised.
         const uint32_t epoch = sink & 0x7ffu;
-        const uint16_t from = PackFromEpoch(3, epoch);
-        const uint32_t tag = FromEpochTag(from);
-        sink = sink + FromHost(from) + (EpochTagStale(tag, epoch & kEpochTagMask) ? 1u : 0u);
+        const uint16_t from = codec.Pack(3, epoch);
+        const uint32_t tag = codec.EpochTag(from);
+        sink = sink + codec.Host(from) +
+               (codec.TagStale(tag, epoch & codec.epoch_mask) ? 1u : 0u);
       },
       iters, 3);
   PrintRow("epoch tag pack+unpack+stale check", us, "n/a (new subsystem)");

@@ -77,13 +77,14 @@ Row Run(bool use_group_fetch) {
   row.wall_ms = static_cast<double>(MonotonicNowNs() - t0) / 1e6;
   const CostModel model;
   for (uint16_t h = 0; h < kHosts; ++h) {
-    const HostCounters c = (*cluster)->node(h).counters();
-    row.blocking_faults += c.read_faults;
-    row.batched_fetches += c.prefetches;
+    const CounterValues c = (*cluster)->node(h).metrics().Counters();
+    row.blocking_faults += c[Metric::kReadFaults];
+    row.batched_fetches += c[Metric::kPrefetches];
     // Blocking faults serialize full service round trips; batched fetches
     // overlap everything but the data transfers themselves.
-    row.modeled_read_phase_us += static_cast<double>(c.read_faults) * model.ReadFaultUs(672) +
-                                 static_cast<double>(c.prefetches) * model.DataMsgUs(672);
+    row.modeled_read_phase_us +=
+        static_cast<double>(c[Metric::kReadFaults]) * model.ReadFaultUs(672) +
+        static_cast<double>(c[Metric::kPrefetches]) * model.DataMsgUs(672);
   }
   return row;
 }

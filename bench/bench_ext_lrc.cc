@@ -80,12 +80,13 @@ Row RunScAlternating(bool page_based) {
   });
   Row row{page_based ? "SC  + full pages" : "SC  + minipages "};
   for (uint16_t h = 0; h < 2; ++h) {
-    const HostCounters c = (*cluster)->node(h).counters();
-    row.faults += c.read_faults + c.write_faults;
-    row.messages += c.messages_sent;
-    row.data_bytes += c.read_fault_bytes + c.write_fault_bytes;
-    row.modeled_us += static_cast<double>(c.read_faults) * kModel.ReadFaultUs(256) +
-                      static_cast<double>(c.write_faults) * kModel.WriteFaultUs(256, 1);
+    const CounterValues c = (*cluster)->node(h).metrics().Counters();
+    row.faults += c[Metric::kReadFaults] + c[Metric::kWriteFaults];
+    row.messages += c[Metric::kMessagesSent];
+    row.data_bytes += c[Metric::kReadFaultBytes] + c[Metric::kWriteFaultBytes];
+    row.modeled_us +=
+        static_cast<double>(c[Metric::kReadFaults]) * kModel.ReadFaultUs(256) +
+        static_cast<double>(c[Metric::kWriteFaults]) * kModel.WriteFaultUs(256, 1);
   }
   row.modeled_us += g_rounds * kModel.BarrierUs(2);
   return row;
@@ -164,13 +165,14 @@ Row RunScWaterish(uint32_t chunking) {
   });
   Row row{chunking > 1 ? "SC  + chunked(4) " : "SC  + minipages  "};
   for (uint16_t h = 0; h < 4; ++h) {
-    const HostCounters c = (*cluster)->node(h).counters();
-    row.faults += c.read_faults + c.write_faults;
-    row.messages += c.messages_sent;
-    row.data_bytes += c.read_fault_bytes + c.write_fault_bytes;
+    const CounterValues c = (*cluster)->node(h).metrics().Counters();
+    row.faults += c[Metric::kReadFaults] + c[Metric::kWriteFaults];
+    row.messages += c[Metric::kMessagesSent];
+    row.data_bytes += c[Metric::kReadFaultBytes] + c[Metric::kWriteFaultBytes];
     const double avg = chunking > 1 ? 1024.0 : 256.0;
-    row.modeled_us += static_cast<double>(c.read_faults) * kModel.ReadFaultUs(avg) +
-                      static_cast<double>(c.write_faults) * kModel.WriteFaultUs(avg, 1);
+    row.modeled_us +=
+        static_cast<double>(c[Metric::kReadFaults]) * kModel.ReadFaultUs(avg) +
+        static_cast<double>(c[Metric::kWriteFaults]) * kModel.WriteFaultUs(avg, 1);
   }
   row.modeled_us += 2.0 * g_epochs * kModel.BarrierUs(4);
   return row;

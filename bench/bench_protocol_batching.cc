@@ -74,11 +74,9 @@ BatchingResult RunBatching(uint16_t hosts, ManagerPolicy policy, bool batch) {
     }
   });
 
-  // Per-host counter snapshots bracketing the write segments, taken by each
-  // host on its own node between barriers.
-  std::vector<uint64_t> msgs0(hosts), msgs1(hosts), bytes0(hosts), bytes1(hosts);
-  std::vector<uint64_t> frames0(hosts), frames1(hosts), recs0(hosts), recs1(hosts);
-  std::vector<uint64_t> cmsgs0(hosts), cmsgs1(hosts), crecs0(hosts), crecs1(hosts);
+  // Per-host counter deltas over the write segments, bracketed by each host
+  // on its own node between barriers.
+  std::vector<CounterValues> before(hosts), during(hosts);
 
   const uint64_t t0 = MonotonicNowNs();
   (*cluster)->RunParallel([&](DsmNode& node, HostId host) {
@@ -90,19 +88,7 @@ BatchingResult RunBatching(uint16_t hosts, ManagerPolicy policy, bool batch) {
         (void)sink;
       }
       node.Barrier();
-      {
-        const HostCounters c = node.counters();
-        msgs0[host] = c.messages_sent;
-        bytes0[host] = c.bytes_sent;
-        frames0[host] = c.batch_frames_sent;
-        recs0[host] = c.batch_records_sent;
-        cmsgs0[host] = c.coalesced_msgs_sent;
-        crecs0[host] = c.coalesced_records;
-        if (r == 0) {
-          msgs1[host] = bytes1[host] = frames1[host] = recs1[host] = 0;
-          cmsgs1[host] = crecs1[host] = 0;
-        }
-      }
+      before[host] = node.metrics().Counters();
       node.Barrier();
       // Write burst: every host invalidates the full copyset of its two
       // arrays, concurrently with every other host's burst.
@@ -110,15 +96,7 @@ BatchingResult RunBatching(uint16_t hosts, ManagerPolicy policy, bool batch) {
         ptrs[a][0] = ptrs[a][0] + r + 1;
       }
       node.Barrier();
-      {
-        const HostCounters c = node.counters();
-        msgs1[host] += c.messages_sent - msgs0[host];
-        bytes1[host] += c.bytes_sent - bytes0[host];
-        frames1[host] += c.batch_frames_sent - frames0[host];
-        recs1[host] += c.batch_records_sent - recs0[host];
-        cmsgs1[host] += c.coalesced_msgs_sent - cmsgs0[host];
-        crecs1[host] += c.coalesced_records - crecs0[host];
-      }
+      during[host] += node.metrics().Counters() - before[host];
       node.Barrier();
     }
   });
@@ -126,13 +104,13 @@ BatchingResult RunBatching(uint16_t hosts, ManagerPolicy policy, bool batch) {
   BatchingResult out;
   out.wall_ms = static_cast<double>(MonotonicNowNs() - t0) / 1e6;
   out.write_ops = static_cast<uint64_t>(g_rounds) * static_cast<uint64_t>(arrays);
-  for (uint16_t h = 0; h < hosts; ++h) {
-    out.write_msgs += msgs1[h];
-    out.write_bytes += bytes1[h];
-    out.batch_frames += frames1[h];
-    out.batch_records += recs1[h];
-    out.inv_msgs += cmsgs1[h];
-    out.inv_records += crecs1[h];
+  for (const CounterValues& d : during) {
+    out.write_msgs += d[Metric::kMessagesSent];
+    out.write_bytes += d[Metric::kBytesSent];
+    out.batch_frames += d[Metric::kBatchFramesSent];
+    out.batch_records += d[Metric::kBatchRecordsSent];
+    out.inv_msgs += d[Metric::kCoalescedMsgsSent];
+    out.inv_records += d[Metric::kCoalescedRecords];
   }
   return out;
 }

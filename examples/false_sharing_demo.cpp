@@ -63,9 +63,10 @@ DemoResult Run(bool page_based, int rounds) {
   });
   DemoResult result;
   result.wall_ms = static_cast<double>(MonotonicNowNs() - t0) / 1e6;
-  const HostCounters totals = (*cluster)->TotalCounters();
-  result.faults = totals.read_faults + totals.write_faults;
-  result.bytes_moved = totals.read_fault_bytes + totals.write_fault_bytes;
+  const DsmCluster& c = **cluster;
+  result.faults = c.TotalCounter(Metric::kReadFaults) + c.TotalCounter(Metric::kWriteFaults);
+  result.bytes_moved =
+      c.TotalCounter(Metric::kReadFaultBytes) + c.TotalCounter(Metric::kWriteFaultBytes);
   (*cluster)->RunOnManager([&](DsmNode&) {
     MP_CHECK(*x == rounds && *y == rounds) << "wrong result!";
   });

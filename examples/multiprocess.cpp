@@ -59,10 +59,10 @@ int main(int argc, char** argv) {
       for (int i = 0; i < b2->lines; ++i) {
         std::printf("  %s\n", b2->text[i]);
       }
-      const HostCounters c = node.counters();
+      const CounterValues c = node.metrics().Counters();
       std::printf("host 0 protocol activity: %lu faults, %lu messages sent\n",
-                  static_cast<unsigned long>(c.read_faults + c.write_faults),
-                  static_cast<unsigned long>(c.messages_sent));
+                  static_cast<unsigned long>(c[Metric::kReadFaults] + c[Metric::kWriteFaults]),
+                  static_cast<unsigned long>(c[Metric::kMessagesSent]));
     }
     node.Barrier();
   });

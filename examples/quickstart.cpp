@@ -69,11 +69,10 @@ int main() {
 
   (*cluster)->RunOnManager([&](DsmNode& node) {
     std::printf("sum(1..1000) computed by 4 DSM hosts = %ld (expected 500500)\n", *counter);
-    const HostCounters totals = (*cluster)->TotalCounters();
     std::printf("protocol activity: %lu read faults, %lu write faults, %lu messages\n",
-                static_cast<unsigned long>(totals.read_faults),
-                static_cast<unsigned long>(totals.write_faults),
-                static_cast<unsigned long>(totals.messages_sent));
+                static_cast<unsigned long>((*cluster)->TotalCounter(Metric::kReadFaults)),
+                static_cast<unsigned long>((*cluster)->TotalCounter(Metric::kWriteFaults)),
+                static_cast<unsigned long>((*cluster)->TotalCounter(Metric::kMessagesSent)));
     (void)node;
   });
   return 0;

@@ -80,12 +80,13 @@ int main(int argc, char** argv) {
       std::putchar('\n');
     }
   });
-  const HostCounters totals = (*cluster)->TotalCounters();
+  auto total = [&](Metric m) {
+    return static_cast<unsigned long>((*cluster)->TotalCounter(m));
+  };
   std::printf(
       "\nDSM traffic: %lu read faults, %lu write faults, %lu KB moved, %lu barriers\n",
-      static_cast<unsigned long>(totals.read_faults),
-      static_cast<unsigned long>(totals.write_faults),
-      static_cast<unsigned long>((totals.read_fault_bytes + totals.write_fault_bytes) / 1024),
-      static_cast<unsigned long>(totals.barriers / hosts));
+      total(Metric::kReadFaults), total(Metric::kWriteFaults),
+      (total(Metric::kReadFaultBytes) + total(Metric::kWriteFaultBytes)) / 1024,
+      total(Metric::kBarriers) / hosts);
   return 0;
 }

@@ -24,17 +24,16 @@ AppRunResult RunApp(DsmCluster& cluster, App& app) {
   });
   // Each shard attributes the competing requests it queues to its own host
   // counters, so the cluster total aggregates the whole directory.
-  result.competing_requests = cluster.TotalCounters().competing_requests;
-  result.barriers = cluster.node(cluster.num_hosts() > 1 ? 1 : 0).counters().barriers;
+  result.competing_requests = cluster.TotalCounter(Metric::kCompetingRequests);
+  result.barriers = cluster.node(cluster.num_hosts() > 1 ? 1 : 0).counter(Metric::kBarriers);
+  result.locks = cluster.TotalCounter(Metric::kLockAcquires);
+  result.read_faults = cluster.TotalCounter(Metric::kReadFaults);
+  result.write_faults = cluster.TotalCounter(Metric::kWriteFaults);
 
   result.timing.ns_per_work_unit = app.ns_per_work_unit();
   result.timing.num_hosts = cluster.num_hosts();
   result.timing.skip_epochs = app.warmup_epochs();
   for (uint16_t h = 0; h < cluster.num_hosts(); ++h) {
-    const HostCounters c = cluster.node(h).counters();
-    result.locks += c.lock_acquires;
-    result.read_faults += c.read_faults;
-    result.write_faults += c.write_faults;
     for (const EpochRecord& r : cluster.node(h).epochs()) {
       result.timing.epochs.push_back(r);
     }

@@ -431,14 +431,12 @@ SimResult SimRun::Run() {
   if (killed) {
     for (uint16_t h = 0; h < workload_.hosts; ++h) {
       if (h != victim) {
-        res.minipages_lost += nodes_[h]->minipages_lost();
+        res.minipages_lost += nodes_[h]->counter(Metric::kMinipagesLost);
       }
     }
   }
   for (auto& node : nodes_) {
-    const HostCounters c = node->counters();
-    res.batch_frames += c.batch_frames_sent.value();
-    res.batch_records += c.batch_records_sent.value();
+    res.counters += node->metrics().Counters();
   }
   Teardown();
   res.history = trace_.Snapshot();

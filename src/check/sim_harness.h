@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/metrics.h"
 #include "src/common/status.h"
 #include "src/common/trace.h"
 #include "src/dsm/config.h"
@@ -85,11 +86,10 @@ struct SimResult {
   uint64_t kill_virtual_us = 0;   // virtual clock at the kill
   uint64_t minipages_lost = 0;    // summed over surviving shards
 
-  // Coherence-batching volume, summed over all hosts: multi-record frames
-  // sent and the records they carried (0/0 when batching is off or no frame
-  // ever coalesced more than one record).
-  uint64_t batch_frames = 0;
-  uint64_t batch_records = 0;
+  // Every host's registry counters, summed over all hosts (e.g. the
+  // coherence-batching volume: host.batch_frames_sent is 0 when batching is
+  // off or no frame ever coalesced more than one record).
+  CounterValues counters;
 
   std::string FormattedHistory() const { return FormatTraceHistory(history); }
 };

@@ -197,43 +197,31 @@ MetricsRegistry& MetricsRegistry::Global() {
   return *instance;
 }
 
-Counter* MetricsRegistry::GetCounter(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = counters_[name];
-  if (slot == nullptr) {
-    slot = std::make_unique<Counter>();
+CounterValues MetricsRegistry::Counters() const {
+  CounterValues c;
+  for (size_t i = 0; i < kNumCounters; ++i) {
+    c.v[i] = counters_[i].value();
   }
-  return slot.get();
-}
-
-Histogram* MetricsRegistry::GetHistogram(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = histograms_[name];
-  if (slot == nullptr) {
-    slot = std::make_unique<Histogram>();
-  }
-  return slot.get();
+  return c;
 }
 
 MetricsSnapshot MetricsRegistry::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
   MetricsSnapshot s;
-  for (const auto& [name, c] : counters_) {
-    s.counters[name] = c->value();
+  for (size_t i = 0; i < kNumCounters; ++i) {
+    s.counters[kCounterNames[i]] = counters_[i].value();
   }
-  for (const auto& [name, h] : histograms_) {
-    s.histograms[name] = h->Snapshot();
+  for (size_t i = 0; i < kNumHistograms; ++i) {
+    s.histograms[kHistogramNames[i]] = histograms_[i].Snapshot();
   }
   return s;
 }
 
 void MetricsRegistry::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, c] : counters_) {
-    c->Reset();
+  for (Counter& c : counters_) {
+    c.Reset();
   }
-  for (auto& [name, h] : histograms_) {
-    h->Reset();
+  for (Histogram& h : histograms_) {
+    h.Reset();
   }
 }
 

@@ -1,91 +1,163 @@
-// Lock-cheap observability substrate: named relaxed-atomic counters and
+// Observability substrate: the metric catalog, relaxed-atomic counters and
 // fixed-bucket latency histograms grouped in registries, RAII scoped timers,
 // snapshot/merge types, and a JSON emitter. Designed for the protocol hot
 // paths (SIGSEGV service, request/reply, transport syscalls, mprotect):
-//   * every update is a handful of relaxed atomic ops — no locks, no
+//   * every metric the runtime exports is declared once, in the catalog
+//     below; a registry is a fixed array indexed by catalog entry, so an
+//     update is one relaxed atomic op — no name lookup, no lock, no
 //     allocation, safe from signal handlers;
-//   * when metrics are disabled the whole layer collapses to one relaxed
-//     load and a predicted branch per call site, and scoped timers skip
-//     their clock reads entirely;
-//   * registration (name lookup) takes a mutex, so call sites register once
-//     up front and keep the returned pointer, which stays valid for the
-//     registry's lifetime.
+//   * counters always count (the cost model prices them whatever the
+//     switch says); when metrics are disabled histograms drop their samples
+//     and scoped timers skip their clock reads entirely.
 
 #ifndef SRC_COMMON_METRICS_H_
 #define SRC_COMMON_METRICS_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 
 #include "src/common/time_util.h"
 
 namespace millipage {
 
+// ---- Catalog ---------------------------------------------------------------
+//
+// C(id, name, help) declares a counter, H(id, name, help) a histogram. The
+// name's suffix gives the unit (_ns, _bytes; bare names count events); the
+// help string documents the entry. Every registry holds every entry; which
+// registry an entry lives in is decided by the code that updates it:
+//   * host.*, dsm.*, mgr.* — the DsmNode's own registry;
+//   * mv.* — the registry the ViewSet is attached to (the DsmNode's, or the
+//     process Global() for a standalone view set);
+//   * fault.*, net.* — the process Global() registry.
+// clang-format off
+#define MILLIPAGE_METRICS(C, H)                                                                \
+  C(kReadFaults, "host.read_faults", "read faults taken on this host")                         \
+  C(kWriteFaults, "host.write_faults", "write faults taken on this host")                      \
+  C(kReadFaultBytes, "host.read_fault_bytes", "minipage bytes fetched by read faults")         \
+  C(kWriteFaultBytes, "host.write_fault_bytes", "minipage bytes fetched by write faults")      \
+  C(kInvalidationsReceived, "host.invalidations_received", "invalidate requests received")     \
+  C(kMessagesSent, "host.messages_sent", "protocol messages sent by this host")                \
+  C(kBytesSent, "host.bytes_sent", "header plus payload bytes of those messages")              \
+  C(kBarriers, "host.barriers", "barriers completed")                                          \
+  C(kLockAcquires, "host.lock_acquires", "locks acquired")                                     \
+  C(kPrefetches, "host.prefetches", "read prefetches issued")                                  \
+  C(kPrefetchBytes, "host.prefetch_bytes", "minipage bytes fetched by prefetches")             \
+  C(kWorkUnits, "host.work_units", "app-reported deterministic compute units")                 \
+  C(kCompetingRequests, "host.competing_requests",                                             \
+    "requests queued behind an in-service minipage at this host's shard")                      \
+  C(kBatchFramesSent, "host.batch_frames_sent", "multi-record coherence frames sent")          \
+  C(kBatchRecordsSent, "host.batch_records_sent", "records those frames carried")              \
+  C(kCoalescedMsgsSent, "host.coalesced_msgs_sent",                                            \
+    "datagrams carrying coalescer-routed coherence traffic, batched or not")                   \
+  C(kCoalescedRecords, "host.coalesced_records", "coherence records routed via the coalescer") \
+  C(kDupInvalidateReplies, "host.dup_invalidate_replies",                                      \
+    "duplicate or stray invalidate replies dropped idempotently")                              \
+  C(kFaultRetries, "dsm.fault_retries", "fetches retried after a mid-flight invalidation")     \
+  C(kTimeoutRetries, "dsm.timeout_retries", "idempotent requests re-sent after a deadline")    \
+  C(kStaleReplies, "dsm.stale_replies", "late replies to abandoned attempts, discarded")       \
+  C(kBouncedRequests, "dsm.bounced_requests", "requests returned unserved to the manager")     \
+  C(kEpochBumps, "dsm.epoch_bumps", "membership epoch bumps applied")                          \
+  C(kShardsAdopted, "dsm.shards_adopted", "dead hosts' directory shards this host adopted")    \
+  C(kCopysetRepairs, "dsm.copyset_repairs", "dead hosts dropped from a copyset")               \
+  C(kMinipagesLost, "dsm.minipages_lost", "minipages whose only copy died with its host")      \
+  C(kRequestsServed, "mgr.requests_served", "requests this shard took into service")           \
+  C(kInvalidationRounds, "mgr.invalidation_rounds", "invalidation rounds this shard ran")      \
+  C(kMptLookups, "mgr.mpt_lookups", "MPT translations (host 0 only)")                          \
+  C(kRemoteRouted, "mgr.remote_routed",                                                        \
+    "translated requests handed to another host's shard (host 0, sharded only)")               \
+  C(kProtSets, "mv.prot_sets", "ranged protection calls (syscalls)")                           \
+  C(kProtSetPages, "mv.prot_set_pages", "vpages those calls re-protected")                     \
+  C(kFaultsDispatched, "fault.dispatched", "faults handed to a registered callback")           \
+  C(kNetMsgsSent, "net.msgs_sent", "datagrams sent by a socket or uring transport")            \
+  C(kNetMsgsRecv, "net.msgs_recv", "datagrams received by a socket or uring transport")        \
+  C(kNetSyscalls, "net.syscalls", "kernel entries on the transport paths")                     \
+  C(kUringSubmits, "net.uring.submits", "io_uring_enter submissions on the send ring")         \
+  C(kUringRecvCqes, "net.uring.recv_cqes", "receive completions consumed")                     \
+  H(kReadFaultNs, "dsm.read_fault_ns", "read fault service, entry to retry")                   \
+  H(kWriteFaultNs, "dsm.write_fault_ns", "write fault service, entry to retry")                \
+  H(kBarrierNs, "dsm.barrier_ns", "barrier entry to release")                                  \
+  H(kLockNs, "dsm.lock_ns", "lock request to grant")                                           \
+  H(kRecoveryNs, "dsm.recovery_ns", "host-death recovery, detect to done")                     \
+  H(kFaultDecodeNs, "fault.decode_ns", "fault entry to address/access decode")                 \
+  H(kFaultServiceNs, "fault.service_ns", "fault entry to fault resolved")                      \
+  H(kNetSendNs, "net.send_ns", "socket send of header plus payload")                           \
+  H(kNetSendBytes, "net.send_bytes", "bytes per datagram sent")                                \
+  H(kNetRecvBytes, "net.recv_bytes", "bytes per datagram received")                            \
+  H(kUringSqeBatch, "net.uring.sqe_batch", "SQEs per send-ring submission")
+// clang-format on
+
+#define MP_METRIC_ID(id, name, help) id,
+#define MP_METRIC_NAME(id, name, help) name,
+#define MP_METRIC_ONE(id, name, help) +1
+#define MP_METRIC_NONE(id, name, help)
+
+enum class Metric : uint16_t { MILLIPAGE_METRICS(MP_METRIC_ID, MP_METRIC_NONE) };
+enum class Hist : uint16_t { MILLIPAGE_METRICS(MP_METRIC_NONE, MP_METRIC_ID) };
+
+inline constexpr size_t kNumCounters = 0 MILLIPAGE_METRICS(MP_METRIC_ONE, MP_METRIC_NONE);
+inline constexpr size_t kNumHistograms = 0 MILLIPAGE_METRICS(MP_METRIC_NONE, MP_METRIC_ONE);
+
+// Exported names, indexed by Metric / Hist.
+inline constexpr const char* kCounterNames[kNumCounters] = {
+    MILLIPAGE_METRICS(MP_METRIC_NAME, MP_METRIC_NONE)};
+inline constexpr const char* kHistogramNames[kNumHistograms] = {
+    MILLIPAGE_METRICS(MP_METRIC_NONE, MP_METRIC_NAME)};
+
+#undef MP_METRIC_ID
+#undef MP_METRIC_NAME
+#undef MP_METRIC_ONE
+#undef MP_METRIC_NONE
+
+// ---- Switch ----------------------------------------------------------------
+
 namespace metrics_internal {
 extern std::atomic<bool> g_enabled;
 }  // namespace metrics_internal
 
-// Process-wide switch, default on (MILLIPAGE_METRICS=0 in the environment
-// starts the process disabled).
+// Process-wide histogram/timer switch, default on (MILLIPAGE_METRICS=0 in
+// the environment starts the process disabled). Counters ignore it.
 inline bool MetricsEnabled() {
   return metrics_internal::g_enabled.load(std::memory_order_relaxed);
 }
 void SetMetricsEnabled(bool enabled);
 
-// Always-on relaxed atomic counter, drop-in usable as a field of the
-// counter-block structs (HostCounters/ManagerCounters): copyable — a copy is
-// a relaxed load, so copying a live block yields a tear-free-per-field
-// snapshot — and arithmetic-compatible with plain uint64_t. For protocol
-// statistics that must count regardless of the metrics switch.
-class RelaxedCounter {
- public:
-  constexpr RelaxedCounter(uint64_t v = 0) : v_(v) {}  // NOLINT: implicit
-  RelaxedCounter(const RelaxedCounter& o) : v_(o.value()) {}
-  RelaxedCounter& operator=(const RelaxedCounter& o) {
-    v_.store(o.value(), std::memory_order_relaxed);
-    return *this;
-  }
-  RelaxedCounter& operator=(uint64_t v) {
-    v_.store(v, std::memory_order_relaxed);
-    return *this;
-  }
+// ---- Primitives ------------------------------------------------------------
 
-  uint64_t value() const { return v_.load(std::memory_order_relaxed); }
-  operator uint64_t() const { return value(); }  // NOLINT: implicit
-
-  RelaxedCounter& operator+=(uint64_t d) {
-    v_.fetch_add(d, std::memory_order_relaxed);
-    return *this;
-  }
-  RelaxedCounter& operator-=(uint64_t d) {
-    v_.fetch_sub(d, std::memory_order_relaxed);
-    return *this;
-  }
-  RelaxedCounter& operator++() { return *this += 1; }
-  uint64_t operator++(int) { return v_.fetch_add(1, std::memory_order_relaxed); }
-
- private:
-  std::atomic<uint64_t> v_;
-};
-
-// Named counter owned by a MetricsRegistry. Gated: increments are dropped
-// while metrics are disabled.
+// Relaxed atomic event counter. Always counts.
 class Counter {
  public:
-  void Inc(uint64_t d = 1) {
-    if (MetricsEnabled()) {
-      v_.fetch_add(d, std::memory_order_relaxed);
-    }
-  }
+  void Inc(uint64_t d = 1) { v_.fetch_add(d, std::memory_order_relaxed); }
   uint64_t value() const { return v_.load(std::memory_order_relaxed); }
   void Reset() { v_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<uint64_t> v_{0};
+};
+
+// Plain-data readout of a registry's counters, indexed by catalog entry: the
+// unit of epoch deltas, cluster totals and before/after brackets.
+struct CounterValues {
+  uint64_t v[kNumCounters] = {};
+
+  uint64_t& operator[](Metric m) { return v[static_cast<size_t>(m)]; }
+  uint64_t operator[](Metric m) const { return v[static_cast<size_t>(m)]; }
+  CounterValues& operator+=(const CounterValues& o) {
+    for (size_t i = 0; i < kNumCounters; ++i) {
+      v[i] += o.v[i];
+    }
+    return *this;
+  }
+  CounterValues operator-(const CounterValues& o) const {
+    CounterValues r = *this;
+    for (size_t i = 0; i < kNumCounters; ++i) {
+      r.v[i] -= o.v[i];
+    }
+    return r;
+  }
 };
 
 // Value-independent snapshot of a histogram (nanoseconds for timers, bytes
@@ -173,26 +245,28 @@ struct MetricsSnapshot {
   std::string DumpJson() const;
 };
 
-// Owns named metrics. GetCounter/GetHistogram create on first use and return
-// a stable pointer (registration locks; updates through the pointer never
-// do). One registry per DsmNode for per-host attribution, plus a process
-// Global() for singletons — the fault handler, standalone transports and
-// view sets.
+// Holds every catalog entry: a counter per C() line, a histogram per H()
+// line. One registry per DsmNode for per-host attribution, plus a process
+// Global() for singletons — the fault handler, the transports and
+// standalone view sets.
 class MetricsRegistry {
  public:
   static MetricsRegistry& Global();
 
-  Counter* GetCounter(const std::string& name);
-  Histogram* GetHistogram(const std::string& name);
+  void Inc(Metric m, uint64_t d = 1) { counters_[static_cast<size_t>(m)].Inc(d); }
+  uint64_t value(Metric m) const { return counters_[static_cast<size_t>(m)].value(); }
+  Histogram& histogram(Hist h) { return histograms_[static_cast<size_t>(h)]; }
+  const Histogram& histogram(Hist h) const { return histograms_[static_cast<size_t>(h)]; }
 
+  CounterValues Counters() const;
+  // Every catalog entry by name, zero-valued ones included.
   MetricsSnapshot Snapshot() const;
-  // Zeroes every registered metric (pointers stay valid). Test/bench helper.
+  // Zeroes every metric. Test/bench helper.
   void Reset();
 
  private:
-  mutable std::mutex mu_;
-  std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+  Counter counters_[kNumCounters];
+  Histogram histograms_[kNumHistograms];
 };
 
 }  // namespace millipage

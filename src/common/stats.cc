@@ -1,5 +1,6 @@
 #include "src/common/stats.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace millipage {

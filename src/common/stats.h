@@ -1,133 +1,25 @@
-// Statistics primitives: per-host counter blocks, latency histograms, and
-// per-epoch snapshots. Epochs are closed at barriers; the model library
-// prices epoch deltas to produce the Figure 6 / Figure 7 series.
+// Statistics primitives: per-epoch counter deltas and sample statistics.
+// Epochs are closed at barriers; the model library prices epoch deltas to
+// produce the Figure 6 / Figure 7 series.
 
 #ifndef SRC_COMMON_STATS_H_
 #define SRC_COMMON_STATS_H_
 
-#include <algorithm>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "src/common/metrics.h"
 
 namespace millipage {
 
-// Event counters for a single DSM host. Fields mirror the quantities the
-// paper reports: fault counts by kind, message/byte volume, synchronization
-// activity, and application work units (the deterministic compute proxy).
-// Fields are relaxed atomics: application threads, the server thread, and
-// introspection readers all touch a live block concurrently, and a copy of a
-// live block (e.g. an epoch snapshot) is a tear-free-per-field read.
-struct HostCounters {
-  RelaxedCounter read_faults;
-  RelaxedCounter write_faults;
-  RelaxedCounter read_fault_bytes;   // minipage bytes fetched by read faults
-  RelaxedCounter write_fault_bytes;  // minipage bytes fetched by write faults
-  RelaxedCounter invalidations_received;
-  RelaxedCounter messages_sent;
-  RelaxedCounter bytes_sent;
-  RelaxedCounter barriers;
-  RelaxedCounter lock_acquires;
-  RelaxedCounter prefetches;
-  RelaxedCounter prefetch_bytes;
-  RelaxedCounter work_units;  // app-reported deterministic compute units
-  // Requests that queued behind an in-service minipage (manager host only).
-  RelaxedCounter competing_requests;
-  // Coherence batching: multi-record frames sent and the records they
-  // carried. records/frames is the realized coalescing factor.
-  RelaxedCounter batch_frames_sent;
-  RelaxedCounter batch_records_sent;
-  // Datagrams carrying coalescer-routed coherence traffic (invalidate
-  // requests and replies, manager-side completion ACKs): multi-record
-  // frames, single-record sends, and — with batching off — the one-datagram-
-  // per-record protocol. coalesced_records / coalesced_msgs_sent compares
-  // the same logical work across batched and unbatched runs.
-  RelaxedCounter coalesced_msgs_sent;
-  RelaxedCounter coalesced_records;
-  // Duplicate or stray invalidate replies dropped idempotently (retransmit
-  // tolerance — these used to be fatal).
-  RelaxedCounter dup_invalidate_replies;
-
-  HostCounters& operator+=(const HostCounters& o) {
-    read_faults += o.read_faults;
-    write_faults += o.write_faults;
-    read_fault_bytes += o.read_fault_bytes;
-    write_fault_bytes += o.write_fault_bytes;
-    invalidations_received += o.invalidations_received;
-    messages_sent += o.messages_sent;
-    bytes_sent += o.bytes_sent;
-    barriers += o.barriers;
-    lock_acquires += o.lock_acquires;
-    prefetches += o.prefetches;
-    prefetch_bytes += o.prefetch_bytes;
-    work_units += o.work_units;
-    competing_requests += o.competing_requests;
-    batch_frames_sent += o.batch_frames_sent;
-    batch_records_sent += o.batch_records_sent;
-    coalesced_msgs_sent += o.coalesced_msgs_sent;
-    coalesced_records += o.coalesced_records;
-    dup_invalidate_replies += o.dup_invalidate_replies;
-    return *this;
-  }
-
-  HostCounters operator-(const HostCounters& o) const {
-    HostCounters r = *this;
-    r.read_faults -= o.read_faults;
-    r.write_faults -= o.write_faults;
-    r.read_fault_bytes -= o.read_fault_bytes;
-    r.write_fault_bytes -= o.write_fault_bytes;
-    r.invalidations_received -= o.invalidations_received;
-    r.messages_sent -= o.messages_sent;
-    r.bytes_sent -= o.bytes_sent;
-    r.barriers -= o.barriers;
-    r.lock_acquires -= o.lock_acquires;
-    r.prefetches -= o.prefetches;
-    r.prefetch_bytes -= o.prefetch_bytes;
-    r.work_units -= o.work_units;
-    r.competing_requests -= o.competing_requests;
-    r.batch_frames_sent -= o.batch_frames_sent;
-    r.batch_records_sent -= o.batch_records_sent;
-    r.coalesced_msgs_sent -= o.coalesced_msgs_sent;
-    r.coalesced_records -= o.coalesced_records;
-    r.dup_invalidate_replies -= o.dup_invalidate_replies;
-    return r;
-  }
-};
-
-// Counters kept per manager shard (one shard on host 0 when centralized,
-// one per host when the directory is sharded). Written by the shard's server
-// thread, read from any thread (liveness reports, cluster totals): relaxed
-// atomics. Competing requests live in HostCounters only — the shard used to
-// keep a duplicate count.
-struct ManagerCounters {
-  RelaxedCounter requests_served;
-  RelaxedCounter invalidation_rounds;
-  RelaxedCounter mpt_lookups;
-  // Translated requests handed off to another host's shard (only the MPT
-  // host routes, so this is nonzero only on host 0, only when sharded).
-  RelaxedCounter remote_routed;
-
-  ManagerCounters& operator+=(const ManagerCounters& o) {
-    requests_served += o.requests_served;
-    invalidation_rounds += o.invalidation_rounds;
-    mpt_lookups += o.mpt_lookups;
-    remote_routed += o.remote_routed;
-    return *this;
-  }
-};
-
 // One closed epoch (barrier-to-barrier interval) for one host.
 struct EpochRecord {
   uint32_t epoch = 0;
   uint32_t host = 0;
-  HostCounters delta;
+  // The host's registry counters at the epoch's closing barrier minus
+  // those at the previous one.
+  CounterValues delta;
 };
-
-// Latency histograms live in src/common/metrics.h (Histogram /
-// HistogramSnapshot); the fault paths record into the node's
-// MetricsRegistry.
 
 // Simple descriptive statistics over a sample vector.
 struct SampleStats {

@@ -126,20 +126,10 @@ void DsmCluster::RunOnManager(const std::function<void(DsmNode&)>& fn) {
   SetCurrentNode(prev);
 }
 
-HostCounters DsmCluster::TotalCounters() const {
-  HostCounters total;
+uint64_t DsmCluster::TotalCounter(Metric m) const {
+  uint64_t total = 0;
   for (const auto& node : nodes_) {
-    total += node->counters();
-  }
-  return total;
-}
-
-ManagerCounters DsmCluster::TotalManagerCounters() const {
-  ManagerCounters total;
-  for (const auto& node : nodes_) {
-    if (node->directory() != nullptr) {
-      total += node->directory()->counters();
-    }
+    total += node->counter(m);
   }
   return total;
 }

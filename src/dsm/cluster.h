@@ -11,7 +11,7 @@
 #include <memory>
 #include <vector>
 
-#include "src/common/stats.h"
+#include "src/common/metrics.h"
 #include "src/dsm/node.h"
 #include "src/net/inproc_transport.h"
 
@@ -37,12 +37,10 @@ class DsmCluster {
   // Convenience for setup code on the manager host (binds/unbinds TLS).
   void RunOnManager(const std::function<void(DsmNode&)>& fn);
 
-  HostCounters TotalCounters() const;
-
-  // Sum of every host's manager-shard counters. With the centralized policy
-  // this equals host 0's shard; with the sharded policy it aggregates the
-  // whole directory.
-  ManagerCounters TotalManagerCounters() const;
+  // Catalog counter `m` summed over every host's registry. For the mgr.*
+  // entries this aggregates the whole directory (host 0's shard alone when
+  // centralized).
+  uint64_t TotalCounter(Metric m) const;
 
   // Cluster-wide metric aggregation: every node's SnapshotMetrics merged
   // with the process-global registry (fault handler, standalone transports).

@@ -111,9 +111,6 @@ struct DsmConfig {
   // silently falls back to kSocket when the kernel lacks support. The
   // in-process and sim modes ignore it.
   TransportBackend transport_backend = TransportBackend::kSocket;
-  // io_uring only: kernel-side SQ polling so bursts submit with zero
-  // syscalls. Opt-in — it burns a core per host process.
-  bool uring_sqpoll = false;
 
   // Fault-delivery backend for the application views (src/os/fault_handler.h).
   // kUserfaultfd removes the signal frame + ucontext decode from every miss

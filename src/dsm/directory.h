@@ -16,7 +16,6 @@
 
 #include "src/common/host_set.h"
 #include "src/common/logging.h"
-#include "src/common/stats.h"
 #include "src/multiview/minipage.h"
 #include "src/net/message.h"
 
@@ -109,8 +108,8 @@ struct LockEntry {
   bool HasWaiter(HostId h) const {
     for (const MsgHeader& w : waiters) {
       // Queued waiters were stripped of their epoch tag at receive time, so
-      // `from` is a pure host id — no FromHost() re-masking (which would
-      // alias ids ≥ 64).
+      // `from` is a pure host id — no WireCodec::Host() re-masking (which
+      // would alias ids ≥ 64).
       if (w.from == h) {
         return true;
       }
@@ -170,8 +169,6 @@ class Directory {
 
   BarrierState& barrier() { return barrier_; }
   const BarrierState& barrier() const { return barrier_; }
-  ManagerCounters& counters() { return counters_; }
-  const ManagerCounters& counters() const { return counters_; }
 
   size_t num_entries() const { return entries_.size(); }
   // Lock ids with table slots so far (repair iterates [0, num_locks)).
@@ -192,7 +189,6 @@ class Directory {
   std::vector<DirEntry> entries_;
   std::vector<LockEntry> locks_;
   BarrierState barrier_;
-  ManagerCounters counters_;
 };
 
 }  // namespace millipage

@@ -74,11 +74,6 @@ DsmNode::DsmNode(const DsmConfig& config, HostId me, Transport* transport)
   auto init = std::make_unique<Membership>();
   init->live = HostSet::AllBelow(config.num_hosts);
   PublishMembership(std::move(init));
-  read_fault_ns_ = metrics_.GetHistogram("dsm.read_fault_ns");
-  write_fault_ns_ = metrics_.GetHistogram("dsm.write_fault_ns");
-  barrier_ns_ = metrics_.GetHistogram("dsm.barrier_ns");
-  lock_ns_ = metrics_.GetHistogram("dsm.lock_ns");
-  recovery_ns_ = metrics_.GetHistogram("dsm.recovery_ns");
 }
 
 DsmNode::~DsmNode() { Stop(); }
@@ -119,58 +114,16 @@ uint32_t DsmNode::ThreadSlot() {
   return slot;
 }
 
-void DsmNode::AddWorkUnits(uint64_t n) { counters_.work_units += n; }
+void DsmNode::AddWorkUnits(uint64_t n) { metrics_.Inc(Metric::kWorkUnits, n); }
 
 std::vector<EpochRecord> DsmNode::epochs() const {
   std::lock_guard<std::mutex> lock(epoch_mu_);
   return epochs_;
 }
 
-uint64_t DsmNode::bounced_requests() const {
-  return bounced_.load(std::memory_order_relaxed);
-}
-
-MetricsSnapshot DsmNode::SnapshotMetrics() const {
-  MetricsSnapshot s = metrics_.Snapshot();
-  const HostCounters c = counters_;
-  auto& cs = s.counters;
-  cs["host.read_faults"] += c.read_faults;
-  cs["host.write_faults"] += c.write_faults;
-  cs["host.read_fault_bytes"] += c.read_fault_bytes;
-  cs["host.write_fault_bytes"] += c.write_fault_bytes;
-  cs["host.invalidations_received"] += c.invalidations_received;
-  cs["host.messages_sent"] += c.messages_sent;
-  cs["host.bytes_sent"] += c.bytes_sent;
-  cs["host.barriers"] += c.barriers;
-  cs["host.lock_acquires"] += c.lock_acquires;
-  cs["host.prefetches"] += c.prefetches;
-  cs["host.prefetch_bytes"] += c.prefetch_bytes;
-  cs["host.work_units"] += c.work_units;
-  cs["host.competing_requests"] += c.competing_requests;
-  cs["host.batch_frames_sent"] += c.batch_frames_sent;
-  cs["host.batch_records_sent"] += c.batch_records_sent;
-  cs["host.dup_invalidate_replies"] += c.dup_invalidate_replies;
-  cs["dsm.fault_retries"] += fault_retries();
-  cs["dsm.timeout_retries"] += timeout_retries();
-  cs["dsm.stale_replies"] += stale_replies();
-  cs["dsm.bounced_requests"] += bounced_requests();
-  cs["dsm.epoch_bumps"] += epoch_bumps();
-  cs["dsm.shards_adopted"] += shards_adopted();
-  cs["dsm.copyset_repairs"] += copyset_repairs();
-  cs["dsm.minipages_lost"] += minipages_lost();
-  if (directory_ != nullptr) {
-    const ManagerCounters m = directory_->counters();
-    cs["mgr.requests_served"] += m.requests_served;
-    cs["mgr.invalidation_rounds"] += m.invalidation_rounds;
-    cs["mgr.mpt_lookups"] += m.mpt_lookups;
-    cs["mgr.remote_routed"] += m.remote_routed;
-  }
-  return s;
-}
-
 Status DsmNode::TrySendMsg(HostId to, const MsgHeader& h, const void* payload, size_t len) {
-  counters_.messages_sent++;
-  counters_.bytes_sent += sizeof(MsgHeader) + len;
+  metrics_.Inc(Metric::kMessagesSent);
+  metrics_.Inc(Metric::kBytesSent, sizeof(MsgHeader) + len);
   // Stamp the wire copy with the sender's membership epoch (high bits of
   // `from`); HandleMessage strips it on receive, so all internal logic sees
   // pure host ids. At epoch 0 the stamped field is bit-identical to the id.
@@ -256,7 +209,7 @@ void DsmNode::Barrier() {
 }
 
 Status DsmNode::TryBarrier() {
-  ScopedTimer timer(barrier_ns_);
+  ScopedTimer timer(&metrics_.histogram(Hist::kBarrierNs));
   const uint32_t slot = ThreadSlot();
   // The barrier generation this host expects to be released from (= barriers
   // completed locally). It travels in pgsize so a failed-over barrier shard
@@ -299,13 +252,14 @@ Status DsmNode::TryBarrier() {
   }
   // The manager stamps the generation being released into the minipage field.
   Trace(TraceEventKind::kBarrierRelease, ~0u, 0, reply.minipage);
-  counters_.barriers++;
+  metrics_.Inc(Metric::kBarriers);
   std::lock_guard<std::mutex> lock(epoch_mu_);
   EpochRecord rec;
   rec.epoch = epoch_++;
   rec.host = me_;
-  rec.delta = counters_ - epoch_snapshot_;
-  epoch_snapshot_ = counters_;
+  const CounterValues now = metrics_.Counters();
+  rec.delta = now - epoch_snapshot_;
+  epoch_snapshot_ = now;
   epochs_.push_back(rec);
   return Status::Ok();
 }
@@ -316,7 +270,7 @@ void DsmNode::Lock(uint32_t lock_id) {
 }
 
 Status DsmNode::TryLock(uint32_t lock_id) {
-  ScopedTimer timer(lock_ns_);
+  ScopedTimer timer(&metrics_.histogram(Hist::kLockNs));
   const uint32_t slot = ThreadSlot();
   for (;;) {
     const uint32_t gen = NextGen(slot);
@@ -350,7 +304,7 @@ Status DsmNode::TryLock(uint32_t lock_id) {
     std::lock_guard<std::mutex> lock(held_mu_);
     held_locks_.insert(lock_id);
   }
-  counters_.lock_acquires++;
+  metrics_.Inc(Metric::kLockAcquires);
   return Status::Ok();
 }
 
@@ -384,7 +338,7 @@ void DsmNode::Prefetch(GlobalAddr a) {
   h.from = me_;
   h.seq = kNoWaitSlot;
   h.addr = a.Pack();
-  counters_.prefetches++;
+  metrics_.Inc(Metric::kPrefetches);
   SendMsg(kManagerHost, h);
 }
 
@@ -433,8 +387,8 @@ size_t DsmNode::FetchGroup(const GlobalAddr* addrs, size_t count) {
       }
       MsgHeader frame = reqs[issued];
       frame.flags |= kFlagBatched;
-      counters_.batch_frames_sent++;
-      counters_.batch_records_sent += n;
+      metrics_.Inc(Metric::kBatchFramesSent);
+      metrics_.Inc(Metric::kBatchRecordsSent, n);
       st = TrySendMsg(kManagerHost, frame, recs.data(), recs.size() * sizeof(BatchRecord));
     }
     if (!st.ok()) {
@@ -443,7 +397,7 @@ size_t DsmNode::FetchGroup(const GlobalAddr* addrs, size_t count) {
     }
     issued += n;
   }
-  counters_.prefetches += issued;
+  metrics_.Inc(Metric::kPrefetches, issued);
   // Split transaction: collect the replies (any order) and ACK each one so
   // the manager releases the minipages. ACKs accumulate per owning shard and
   // flush as batched frames — but a reply for a page-spanning minipage
@@ -468,8 +422,8 @@ size_t DsmNode::FetchGroup(const GlobalAddr* addrs, size_t count) {
         }
         MsgHeader frame = items[0];
         frame.flags |= kFlagBatched;
-        counters_.batch_frames_sent++;
-        counters_.batch_records_sent += items.size();
+        metrics_.Inc(Metric::kBatchFramesSent);
+        metrics_.Inc(Metric::kBatchRecordsSent, items.size());
         SendMsg(to, frame, recs.data(), recs.size() * sizeof(BatchRecord));
       }
       items.clear();
@@ -490,7 +444,7 @@ size_t DsmNode::FetchGroup(const GlobalAddr* addrs, size_t count) {
       continue;
     }
     collected++;
-    counters_.prefetch_bytes += reply->has_payload() ? reply->pgsize : 0;
+    metrics_.Inc(Metric::kPrefetchBytes, reply->has_payload() ? reply->pgsize : 0);
     if (config_.enable_ack) {
       MsgHeader ack;
       ack.set_type(MsgType::kAck);
@@ -544,9 +498,9 @@ Status DsmNode::FaultService(uint32_t view, uint64_t offset, bool is_write) {
   const uint64_t t0 = timed ? MonotonicNowNs() : 0;
   const char* const what = is_write ? "write fault" : "read fault";
   if (is_write) {
-    counters_.write_faults++;
+    metrics_.Inc(Metric::kWriteFaults);
   } else {
-    counters_.read_faults++;
+    metrics_.Inc(Metric::kReadFaults);
   }
   const uint32_t slot = ThreadSlot();
   const uint64_t addr = GlobalAddr{view, offset}.Pack();
@@ -598,7 +552,7 @@ Status DsmNode::FaultService(uint32_t view, uint64_t offset, bool is_write) {
       return LivenessFailure(what, r.status());
     }
     timeouts++;
-    timeout_retries_.fetch_add(1, std::memory_order_relaxed);
+    metrics_.Inc(Metric::kTimeoutRetries);
     MP_LOG(Error) << "host " << me_ << ": " << what << " timed out after "
                   << attempt_timeout_ms << " ms (attempt " << timeouts << "/"
                   << config_.max_request_retries + 1 << "); re-sending";
@@ -616,12 +570,13 @@ Status DsmNode::FaultService(uint32_t view, uint64_t offset, bool is_write) {
 
   const uint64_t data_bytes = reply.has_payload() ? reply.pgsize : 0;
   if (is_write) {
-    counters_.write_fault_bytes += data_bytes;
+    metrics_.Inc(Metric::kWriteFaultBytes, data_bytes);
   } else {
-    counters_.read_fault_bytes += data_bytes;
+    metrics_.Inc(Metric::kReadFaultBytes, data_bytes);
   }
   if (timed) {
-    (is_write ? write_fault_ns_ : read_fault_ns_)->RecordAlways(MonotonicNowNs() - t0);
+    metrics_.histogram(is_write ? Hist::kWriteFaultNs : Hist::kReadFaultNs)
+        .RecordAlways(MonotonicNowNs() - t0);
   }
   Trace(TraceEventKind::kFaultEnd, reply.minipage, addr, is_write ? 1 : 0);
   return Status::Ok();
@@ -801,7 +756,7 @@ void DsmNode::HandleMessage(const MsgHeader& raw) {
   h.from = codec_.Host(raw.from);
   if (h.msg_type() != MsgType::kEpochBump) {
     if (dead_set().Contains(h.from)) {
-      stale_replies_.fetch_add(1, std::memory_order_relaxed);
+      metrics_.Inc(Metric::kStaleReplies);
       return;
     }
     const uint32_t tag = codec_.EpochTag(raw.from);
@@ -999,9 +954,9 @@ void DsmNode::DispatchOne(const MsgHeader& h) {
 // ---- Coherence-traffic coalescer -------------------------------------------
 
 void DsmNode::SendCoalesced(HostId to, const MsgHeader& h) {
-  counters_.coalesced_records++;
+  metrics_.Inc(Metric::kCoalescedRecords);
   if (!config_.batch_coherence) {
-    counters_.coalesced_msgs_sent++;
+    metrics_.Inc(Metric::kCoalescedMsgsSent);
     SendMsg(to, h);
     return;
   }
@@ -1108,7 +1063,7 @@ void DsmNode::SendBatch(PendingBatch& b) {
   if (b.items.size() == 1) {
     // Single record: send the plain header, bit-identical to an unbatched
     // protocol run (the v0 golden-bytes contract).
-    counters_.coalesced_msgs_sent++;
+    metrics_.Inc(Metric::kCoalescedMsgsSent);
     SendMsg(b.to, b.items[0]);
     b.items.clear();
     return;
@@ -1120,9 +1075,9 @@ void DsmNode::SendBatch(PendingBatch& b) {
   }
   MsgHeader frame = b.items[0];
   frame.flags |= kFlagBatched;
-  counters_.batch_frames_sent++;
-  counters_.batch_records_sent += recs.size();
-  counters_.coalesced_msgs_sent++;
+  metrics_.Inc(Metric::kBatchFramesSent);
+  metrics_.Inc(Metric::kBatchRecordsSent, recs.size());
+  metrics_.Inc(Metric::kCoalescedMsgsSent);
   SendMsg(b.to, frame, recs.data(), recs.size() * sizeof(BatchRecord));
   b.items.clear();
 }
@@ -1132,7 +1087,7 @@ void DsmNode::SendBatch(PendingBatch& b) {
 bool DsmNode::MgrTranslate(MsgHeader* h) {
   const GlobalAddr a = h->global_addr();
   const Minipage* mp = mpt_->Lookup(a.view, a.offset);
-  directory_->counters().mpt_lookups++;
+  metrics_.Inc(Metric::kMptLookups);
   if (mp == nullptr && a.offset % PageSize() == 0) {
     // The userfaultfd backend reports fault addresses page-masked, so a
     // fault on a vpage whose minipage starts mid-page misses the byte-exact
@@ -1170,7 +1125,7 @@ void DsmNode::MgrTranslateAndRoute(const MsgHeader& h) {
   }
   // Hand the translated (but still unforwarded) header to the owning shard;
   // service, ACKs, and replies then bypass this host entirely.
-  directory_->counters().remote_routed++;
+  metrics_.Inc(Metric::kRemoteRouted);
   SendMsg(owner, copy);
 }
 
@@ -1227,7 +1182,7 @@ void DsmNode::MgrStartService(MsgHeader h) {
     e.copyset = HostSet::Single(kManagerHost);
     e.writable = true;
   }
-  directory_->counters().requests_served++;
+  metrics_.Inc(Metric::kRequestsServed);
   if (e.in_service) {
     // A request queued behind another HOST's transaction is contention (the
     // paper's "competing requests"). Queued behind the same host's own
@@ -1235,7 +1190,7 @@ void DsmNode::MgrStartService(MsgHeader h) {
     // PREFETCH blocks nobody (its issuer is not waiting) — neither is
     // priced as contention.
     if (h.from != e.in_service_for && (h.flags & kFlagPrefetch) == 0) {
-      counters_.competing_requests++;
+      metrics_.Inc(Metric::kCompetingRequests);
     }
     e.pending.push_back(h);
     return;
@@ -1334,7 +1289,7 @@ void DsmNode::MgrProcessWrite(const MsgHeader& h, DirEntry& e) {
   e.pending_write = h;
   e.write_remaining = remaining;
   e.invalidates_pending.Clear();
-  directory_->counters().invalidation_rounds++;
+  metrics_.Inc(Metric::kInvalidationRounds);
   const HostSet& live = live_set();
   // Burst window: with coalescing off (or single-record batches) this
   // fan-out is one datagram per copyset member; a batching transport submits
@@ -1371,7 +1326,7 @@ void DsmNode::MgrHandleInvalidateReply(const MsgHeader& h) {
   // Invalidation is idempotent at the replica, so the extra reply carries no
   // information; drop it instead of taking the whole cluster down.
   if (!e.write_pending || !e.invalidates_pending.Contains(h.from)) {
-    counters_.dup_invalidate_replies++;
+    metrics_.Inc(Metric::kDupInvalidateReplies);
     return;
   }
   e.invalidates_pending.Remove(h.from);
@@ -1425,7 +1380,7 @@ void DsmNode::MgrHandleAck(const MsgHeader& h) {
     if (e.copyset.Empty() && !e.lost) {
       e.lost = true;
       e.writable = false;
-      minipages_lost_.fetch_add(1, std::memory_order_relaxed);
+      metrics_.Inc(Metric::kMinipagesLost);
       MP_LOG(Error) << "host " << me_ << ": minipage " << h.minipage
                     << " lost: host " << h.from << " renounced the only copy";
       while (!e.pending.empty()) {
@@ -1943,7 +1898,7 @@ void DsmNode::HandleInvalidateRequest(const MsgHeader& h) {
       }
     }
   }
-  counters_.invalidations_received++;
+  metrics_.Inc(Metric::kInvalidationsReceived);
   MsgHeader reply = h;
   reply.set_type(MsgType::kInvalidateReply);
   // The manager retires invalidations by *replier* bit, so the reply must
@@ -1979,7 +1934,7 @@ void DsmNode::HandleReply(const MsgHeader& h) {
       if (f.poisoned.exchange(false, std::memory_order_acq_rel)) {
         // The fetched copy was invalidated in flight; leave the vpage
         // inaccessible and re-issue the request for fresh data.
-        fault_retries_.fetch_add(1, std::memory_order_relaxed);
+        metrics_.Inc(Metric::kFaultRetries);
         MsgHeader retry;
         retry.set_type(h.msg_type() == MsgType::kReadReply ? MsgType::kReadRequest
                                                            : MsgType::kWriteRequest);
@@ -2020,7 +1975,7 @@ void DsmNode::HandleReply(const MsgHeader& h) {
   }
   if (h.seq == kNoWaitSlot) {
     // Prefetch completion: account and ACK on behalf of the (absent) waiter.
-    counters_.prefetch_bytes += h.has_payload() ? h.pgsize : 0;
+    metrics_.Inc(Metric::kPrefetchBytes, h.has_payload() ? h.pgsize : 0);
     if (config_.enable_ack) {
       MsgHeader ack = h;
       ack.set_type(MsgType::kAck);
@@ -2073,7 +2028,7 @@ void DsmNode::Bounce(MsgHeader h) {
   // not arrived) — a window that only opens when read ACKs are elided.
   // Return it to the owning shard for re-routing against current directory
   // state.
-  bounced_.fetch_add(1, std::memory_order_relaxed);
+  metrics_.Inc(Metric::kBouncedRequests);
   h.flags |= kFlagBounced;
   SendMsg(LiveManagerOf(h.minipage), h);
 }
@@ -2108,7 +2063,7 @@ Result<MsgHeader> DsmNode::AwaitReply(uint32_t slot, uint32_t gen, uint64_t time
     // Late reply to an abandoned attempt. Discard it — but a discarded data
     // reply must still be ACKed (when the protocol serializes on ACKs),
     // otherwise the manager would hold the minipage in service forever.
-    stale_replies_.fetch_add(1, std::memory_order_relaxed);
+    metrics_.Inc(Metric::kStaleReplies);
     const MsgType t = r->msg_type();
     // Lost-minipage error replies never opened a service transaction: no ACK.
     const bool is_data = (t == MsgType::kReadReply || t == MsgType::kWriteReply) &&
@@ -2175,7 +2130,7 @@ bool DsmNode::ProcessPendingDeaths() {
   if (pend.Empty()) {
     return false;
   }
-  ScopedTimer timer(recovery_ns_);
+  ScopedTimer timer(&metrics_.histogram(Hist::kRecoveryNs));
   HostSet dead = m.dead;
   dead.UnionWith(pend);
   ApplyMembership(m.epoch + 1, dead, /*broadcast=*/true);
@@ -2210,7 +2165,7 @@ void DsmNode::ApplyMembership(uint32_t epoch, const HostSet& dead, bool broadcas
   next->live = HostSet::AllBelow(config_.num_hosts);
   next->live.SubtractAll(new_dead);
   PublishMembership(std::move(next));
-  epoch_bumps_.fetch_add(1, std::memory_order_relaxed);
+  metrics_.Inc(Metric::kEpochBumps);
   // Trace contract: one kEpochBump event per newly-dead host, arg2 = the
   // dead host id + 1 (0 means the epoch advanced with no new deaths — a
   // merge of already-known membership). The checker reconstructs each
@@ -2281,7 +2236,7 @@ void DsmNode::RepairAfterDeath(HostId dead) {
       const HostId c = static_cast<HostId>((dead + probe) % config_.num_hosts);
       if (live.Contains(c)) {
         if (c == me_) {
-          shards_adopted_.fetch_add(1, std::memory_order_relaxed);
+          metrics_.Inc(Metric::kShardsAdopted);
         }
         break;
       }
@@ -2299,7 +2254,7 @@ void DsmNode::RepairAfterDeath(HostId dead) {
     const bool had_copy = e.HasCopy(dead);
     if (had_copy) {
       e.RemoveCopy(dead);
-      copyset_repairs_.fetch_add(1, std::memory_order_relaxed);
+      metrics_.Inc(Metric::kCopysetRepairs);
     }
     if (e.rebuilding) {
       e.rebuild_pending.Remove(dead);
@@ -2345,7 +2300,7 @@ void DsmNode::RepairAfterDeath(HostId dead) {
       e.lost = true;
     }
     if (e.lost) {
-      minipages_lost_.fetch_add(1, std::memory_order_relaxed);
+      metrics_.Inc(Metric::kMinipagesLost);
       Trace(TraceEventKind::kMinipageLost, id, 0, dead);
       if (e.write_pending) {
         ReplyLost(e.pending_write);
@@ -2537,7 +2492,7 @@ void DsmNode::FinishCopysetRebuild(MinipageId id) {
   if (e.copyset.Empty()) {
     // No live host holds a copy: the id died with its owner.
     e.lost = true;
-    minipages_lost_.fetch_add(1, std::memory_order_relaxed);
+    metrics_.Inc(Metric::kMinipagesLost);
     Trace(TraceEventKind::kMinipageLost, id, 0, 0);
     while (!e.pending.empty()) {
       ReplyLost(e.pending.front());
@@ -2569,9 +2524,9 @@ std::string DsmNode::LivenessReport() const {
            "liveness{host=%u peers_down=0x%llx timeout_retries=%llu stale_replies=%llu "
            "fault_retries=%llu",
            me_, (unsigned long long)peers_down(),
-           (unsigned long long)timeout_retries_.load(std::memory_order_relaxed),
-           (unsigned long long)stale_replies_.load(std::memory_order_relaxed),
-           (unsigned long long)fault_retries_.load(std::memory_order_relaxed));
+           (unsigned long long)metrics_.value(Metric::kTimeoutRetries),
+           (unsigned long long)metrics_.value(Metric::kStaleReplies),
+           (unsigned long long)metrics_.value(Metric::kFaultRetries));
   std::string s = buf;
   if (directory_ != nullptr) {
     // Manager-side view: how much protocol state is wedged mid-transaction.

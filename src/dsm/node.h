@@ -201,11 +201,6 @@ class DsmNode {
   // reproducible; exposed for tests.
   static uint64_t RetryTimeoutMs(const DsmConfig& cfg, HostId host, uint32_t attempt);
 
-  // Recovery counters (also exported as dsm.* in SnapshotMetrics).
-  uint64_t epoch_bumps() const { return epoch_bumps_.load(std::memory_order_relaxed); }
-  uint64_t shards_adopted() const { return shards_adopted_.load(std::memory_order_relaxed); }
-  uint64_t copyset_repairs() const { return copyset_repairs_.load(std::memory_order_relaxed); }
-  uint64_t minipages_lost() const { return minipages_lost_.load(std::memory_order_relaxed); }
   // True once this host has learned minipage `id` is permanently lost.
   bool IsLost(uint32_t id) const {
     std::lock_guard<std::mutex> lock(lost_mu_);
@@ -218,16 +213,15 @@ class DsmNode {
 
   // ---- Introspection -----------------------------------------------------
 
-  HostCounters counters() const { return counters_; }
+  // One catalog counter of this host's registry (see src/common/metrics.h).
+  uint64_t counter(Metric m) const { return metrics_.value(m); }
   std::vector<EpochRecord> epochs() const;
-  HistogramSnapshot read_fault_latency() const { return read_fault_ns_->Snapshot(); }
-  HistogramSnapshot write_fault_latency() const { return write_fault_ns_->Snapshot(); }
-  uint64_t bounced_requests() const;
-  uint64_t fault_retries() const { return fault_retries_.load(std::memory_order_relaxed); }
-  // Idempotent requests re-sent after a reply deadline expired.
-  uint64_t timeout_retries() const { return timeout_retries_.load(std::memory_order_relaxed); }
-  // Late replies to abandoned attempts, discarded by generation check.
-  uint64_t stale_replies() const { return stale_replies_.load(std::memory_order_relaxed); }
+  HistogramSnapshot read_fault_latency() const {
+    return metrics_.histogram(Hist::kReadFaultNs).Snapshot();
+  }
+  HistogramSnapshot write_fault_latency() const {
+    return metrics_.histogram(Hist::kWriteFaultNs).Snapshot();
+  }
   // Bitmask of peers this node has observed down (hosts 0..63 only — use
   // peers_down_set() for the full set on large clusters).
   uint64_t peers_down() const {
@@ -243,16 +237,13 @@ class DsmNode {
   // directory/barrier occupancy). Best-effort racy read, for diagnostics.
   std::string LivenessReport() const;
 
-  // This node's metric registry (fault/sync latency histograms plus whatever
-  // the node's ViewSet records). Register bench- or app-specific metrics
-  // here for per-host attribution.
+  // This node's metric registry: the host.*, dsm.* and mgr.* catalog
+  // entries plus the mv.* ones its ViewSet records.
   MetricsRegistry& metrics() { return metrics_; }
 
-  // Everything observable about this host under flat names: the registry's
-  // histograms, HostCounters as host.*, liveness counters and manager-shard
-  // counters as dsm.* / mgr.*. Merge snapshots across nodes (or feed
-  // DumpJson) for cluster-wide views.
-  MetricsSnapshot SnapshotMetrics() const;
+  // Everything observable about this host under flat names. Merge snapshots
+  // across nodes (or feed DumpJson) for cluster-wide views.
+  MetricsSnapshot SnapshotMetrics() const { return metrics_.Snapshot(); }
 
   // This host's manager shard (null on non-manager hosts when centralized);
   // mpt/allocator are null everywhere but host 0.
@@ -445,7 +436,6 @@ class DsmNode {
     std::atomic<bool> poisoned{false};
   };
   InflightFetch inflight_[WaitSlots::kMaxSlots];
-  std::atomic<uint64_t> fault_retries_{0};
   uint32_t replica_rotation_ = 0;  // manager server thread only
 
   // Liveness state. slot_gen_ is written by the slot-owning app thread and
@@ -454,8 +444,6 @@ class DsmNode {
   std::atomic<bool> draining_{false};
   mutable std::mutex peer_down_mu_;
   HostSet peer_down_;  // peers observed down (guarded by peer_down_mu_)
-  std::atomic<uint64_t> timeout_retries_{0};
-  std::atomic<uint64_t> stale_replies_{0};
 
   // Membership: (epoch, dead set, live set) published as an immutable
   // snapshot behind one atomic pointer, so app threads routing by membership
@@ -509,29 +497,14 @@ class DsmNode {
   std::set<uint32_t> held_locks_;  // locks this host currently holds (probe answers)
   mutable std::mutex lost_mu_;
   std::set<uint32_t> lost_minipages_;  // ids learned permanently lost
-  std::atomic<uint64_t> epoch_bumps_{0};
-  std::atomic<uint64_t> shards_adopted_{0};
-  std::atomic<uint64_t> copyset_repairs_{0};
-  std::atomic<uint64_t> minipages_lost_{0};
 
-  // Lock-free event counters (relaxed-atomic fields; see stats.h). The mutex
+  // Per-node metric registry, updated lock-free on the hot paths. The mutex
   // guards only the epoch bookkeeping closed at barriers.
-  HostCounters counters_;
+  MetricsRegistry metrics_;
   mutable std::mutex epoch_mu_;
-  HostCounters epoch_snapshot_;
+  CounterValues epoch_snapshot_;
   std::vector<EpochRecord> epochs_;
   uint32_t epoch_ = 0;
-
-  // Per-node metric registry; the named pointers are registered once in the
-  // constructor and updated lock-free on the hot paths.
-  MetricsRegistry metrics_;
-  Histogram* read_fault_ns_ = nullptr;   // full fault service, entry to retry
-  Histogram* write_fault_ns_ = nullptr;
-  Histogram* barrier_ns_ = nullptr;      // barrier entry to release
-  Histogram* lock_ns_ = nullptr;         // lock request to grant
-  Histogram* recovery_ns_ = nullptr;     // host-death recovery, detect to done
-
-  std::atomic<uint64_t> bounced_{0};
 };
 
 }  // namespace millipage

@@ -58,8 +58,8 @@ ModeledRun ModelRun(const CostModel& model, const AppTimingInput& input) {
     uint64_t total_inval = 0;
     uint64_t total_writes = 0;
     for (const EpochRecord* r : records) {
-      total_inval += r->delta.invalidations_received;
-      total_writes += r->delta.write_faults;
+      total_inval += r->delta[Metric::kInvalidationsReceived];
+      total_writes += r->delta[Metric::kWriteFaults];
     }
     const double avg_inval =
         total_writes > 0 ? static_cast<double>(total_inval) / static_cast<double>(total_writes)
@@ -70,28 +70,30 @@ ModeledRun ModelRun(const CostModel& model, const AppTimingInput& input) {
     uint64_t total_competing = 0;
     double total_fault_us = 0;
     for (const EpochRecord* r : records) {
-      total_reads += r->delta.read_faults;
-      total_competing += r->delta.competing_requests;
+      total_reads += r->delta[Metric::kReadFaults];
+      total_competing += r->delta[Metric::kCompetingRequests];
     }
 
     double epoch_max_us = 0;
     std::vector<Breakdown> host_parts;
     host_parts.reserve(records.size());
     for (const EpochRecord* r : records) {
-      const HostCounters& d = r->delta;
+      const CounterValues& d = r->delta;
+      const uint64_t reads = d[Metric::kReadFaults];
+      const uint64_t writes = d[Metric::kWriteFaults];
+      const uint64_t prefetches = d[Metric::kPrefetches];
       Breakdown b;
-      b.comp_us = static_cast<double>(d.work_units) * input.ns_per_work_unit / 1000.0;
+      b.comp_us = static_cast<double>(d[Metric::kWorkUnits]) * input.ns_per_work_unit / 1000.0;
       const double avg_rd =
-          d.read_faults > 0 ? static_cast<double>(d.read_fault_bytes) / d.read_faults : 0.0;
+          reads > 0 ? static_cast<double>(d[Metric::kReadFaultBytes]) / reads : 0.0;
       const double avg_wr =
-          d.write_faults > 0 ? static_cast<double>(d.write_fault_bytes) / d.write_faults : 0.0;
+          writes > 0 ? static_cast<double>(d[Metric::kWriteFaultBytes]) / writes : 0.0;
       const double avg_pf =
-          d.prefetches > 0 ? static_cast<double>(d.prefetch_bytes) / d.prefetches : 0.0;
-      b.read_fault_us = static_cast<double>(d.read_faults) * model.ReadFaultUs(avg_rd);
-      b.write_fault_us =
-          static_cast<double>(d.write_faults) * model.WriteFaultUs(avg_wr, avg_inval);
-      b.prefetch_us = static_cast<double>(d.prefetches) * model.PrefetchUs(avg_pf);
-      b.synch_us = static_cast<double>(d.lock_acquires) * model.lock_us;
+          prefetches > 0 ? static_cast<double>(d[Metric::kPrefetchBytes]) / prefetches : 0.0;
+      b.read_fault_us = static_cast<double>(reads) * model.ReadFaultUs(avg_rd);
+      b.write_fault_us = static_cast<double>(writes) * model.WriteFaultUs(avg_wr, avg_inval);
+      b.prefetch_us = static_cast<double>(prefetches) * model.PrefetchUs(avg_pf);
+      b.synch_us = static_cast<double>(d[Metric::kLockAcquires]) * model.lock_us;
       total_fault_us += b.read_fault_us + b.write_fault_us;
       host_parts.push_back(b);
       epoch_max_us = std::max(epoch_max_us, b.total());

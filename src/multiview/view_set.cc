@@ -131,8 +131,8 @@ Status ViewSet::SetProtection(const Minipage& mp, Protection prot) {
   for (uint64_t vp = first; vp <= last; ++vp) {
     shadow_[mp.view][vp].store(static_cast<uint8_t>(prot), std::memory_order_release);
   }
-  prot_sets_->Inc();
-  prot_set_pages_->Inc(last - first + 1);
+  metrics_->Inc(Metric::kProtSets);
+  metrics_->Inc(Metric::kProtSetPages, last - first + 1);
   TraceProtSet(mp, prot);
   return Status::Ok();
 }
@@ -172,8 +172,8 @@ Status ViewSet::SetProtectionBatch(const Minipage* mps, size_t count, Protection
     for (uint64_t vp = first; vp <= last; ++vp) {
       shadow_[view][vp].store(static_cast<uint8_t>(prot), std::memory_order_release);
     }
-    prot_sets_->Inc();
-    prot_set_pages_->Inc(last - first + 1);
+    metrics_->Inc(Metric::kProtSets);
+    metrics_->Inc(Metric::kProtSetPages, last - first + 1);
     return Status::Ok();
   };
   uint32_t run_view = todo[0]->view;

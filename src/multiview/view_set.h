@@ -106,10 +106,7 @@ class ViewSet {
   // one). Counters only on this path — a scoped timer would be a measurable
   // fraction of a single-page mprotect; the mprotect latency curve lives in
   // bench_micro_primitives instead.
-  void SetMetrics(MetricsRegistry* registry) {
-    prot_sets_ = registry->GetCounter("mv.prot_sets");
-    prot_set_pages_ = registry->GetCounter("mv.prot_set_pages");
-  }
+  void SetMetrics(MetricsRegistry* registry) { metrics_ = registry; }
 
  private:
   ViewSet() = default;
@@ -142,8 +139,7 @@ class ViewSet {
 
   TraceSink* trace_ = nullptr;
   uint16_t trace_host_ = 0;
-  Counter* prot_sets_ = nullptr;       // ranged protection calls (syscalls)
-  Counter* prot_set_pages_ = nullptr;  // vpages those calls re-protected
+  MetricsRegistry* metrics_ = nullptr;
 };
 
 }  // namespace millipage

@@ -12,7 +12,6 @@ InProcTransport::InProcTransport(uint16_t num_hosts) {
   for (uint16_t i = 0; i < num_hosts; ++i) {
     boxes_.push_back(std::make_unique<Mailbox>());
   }
-  send_bytes_ = MetricsRegistry::Global().GetHistogram("net.send_bytes");
 }
 
 Status InProcTransport::Send(HostId to, MsgHeader h, const void* payload, size_t len) {
@@ -21,7 +20,7 @@ Status InProcTransport::Send(HostId to, MsgHeader h, const void* payload, size_t
   }
   // One Send = one datagram, whatever it carries — a batched frame's N
   // records land in a single sample, which is the point of batching.
-  send_bytes_->Record(sizeof(MsgHeader) + len);
+  send_bytes_.Record(sizeof(MsgHeader) + len);
   Item item;
   if (payload != nullptr && len > 0) {
     h.flags |= kFlagHasPayload;

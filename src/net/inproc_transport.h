@@ -12,6 +12,7 @@
 #include <mutex>
 #include <vector>
 
+#include "src/common/metrics.h"
 #include "src/net/transport.h"
 
 namespace millipage {
@@ -39,9 +40,9 @@ class InProcTransport : public Transport {
   };
 
   std::vector<std::unique_ptr<Mailbox>> boxes_;
-  // Datagram-size distribution ("net.send_bytes", global registry): header +
+  // Datagram-size distribution (net.send_bytes, global registry): header +
   // payload per Send, the figure batching compresses.
-  Histogram* send_bytes_ = nullptr;
+  Histogram& send_bytes_ = MetricsRegistry::Global().histogram(Hist::kNetSendBytes);
 };
 
 }  // namespace millipage

@@ -130,17 +130,6 @@ struct WireCodec {
   }
 };
 
-// Legacy free functions: the v0 codec, kept for call sites that are
-// ≤64-host by construction (bench_epoch's tag micro-bench, old tests).
-inline uint16_t PackFromEpoch(HostId from, uint32_t epoch) {
-  return WireCodec::For(64).Pack(from, epoch);
-}
-inline HostId FromHost(uint16_t from) { return WireCodec::For(64).Host(from); }
-inline uint32_t FromEpochTag(uint16_t from) { return WireCodec::For(64).EpochTag(from); }
-inline bool EpochTagStale(uint32_t t, uint32_t now) {
-  return WireCodec::For(64).TagStale(t, now);
-}
-
 // Canonical shared address: (application view, offset within the memory
 // object). Identical on every host, so no pointer translation is needed
 // between hosts in either deployment mode.

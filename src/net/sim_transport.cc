@@ -36,7 +36,6 @@ SimNet::SimNet(uint16_t num_hosts, uint64_t seed, SimOptions options)
     : num_hosts_(num_hosts), options_(options), seed_(seed), rng_(seed), staged_(num_hosts) {
   MP_CHECK(num_hosts > 0);
   MP_CHECK(options_.min_delay_us <= options_.max_delay_us);
-  send_bytes_ = MetricsRegistry::Global().GetHistogram("net.send_bytes");
   endpoints_.reserve(num_hosts);
   for (uint16_t h = 0; h < num_hosts; ++h) {
     endpoints_.push_back(std::make_unique<SimEndpoint>(this, h));
@@ -149,7 +148,7 @@ Status SimNet::SendFrom(HostId from, HostId to, const MsgHeader& h, const void* 
       return Status::Ok();
     }
   }
-  send_bytes_->Record(sizeof(MsgHeader) + len);
+  send_bytes_.Record(sizeof(MsgHeader) + len);
   SimMsg m;
   m.h = h;
   if (payload != nullptr && len > 0) {

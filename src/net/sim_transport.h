@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "src/common/host_set.h"
+#include "src/common/metrics.h"
 #include "src/common/rng.h"
 #include "src/common/status.h"
 #include "src/net/message.h"
@@ -138,9 +139,9 @@ class SimNet {
   const uint16_t num_hosts_;
   const SimOptions options_;
   const uint64_t seed_;
-  // Datagram-size distribution ("net.send_bytes", global registry): one
+  // Datagram-size distribution (net.send_bytes, global registry): one
   // sample per SendFrom, so a batched frame counts as a single datagram.
-  Histogram* send_bytes_ = nullptr;
+  Histogram& send_bytes_ = MetricsRegistry::Global().histogram(Hist::kNetSendBytes);
 
   mutable std::mutex mu_;
   Rng rng_;  // scheduler-side draws (tie-breaks) — driver thread only

@@ -18,10 +18,7 @@ constexpr int kSocketBufBytes = 1 << 20;
 
 // Uniform kernel-entry counter shared with the uring backend so
 // bench_transport can compare syscalls-per-message across backends.
-Counter* SyscallCounter() {
-  static Counter* c = MetricsRegistry::Global().GetCounter("net.syscalls");
-  return c;
-}
+void CountSyscall() { MetricsRegistry::Global().Inc(Metric::kNetSyscalls); }
 
 Status SetBufferSizes(int fd) {
   const int sz = kSocketBufBytes;
@@ -39,7 +36,7 @@ Status SetBufferSizes(int fd) {
 // undetected (the excess bytes simply vanish).
 Status RecvDatagram(int fd, void* buf, size_t len) {
   for (;;) {
-    SyscallCounter()->Inc();
+    CountSyscall();
     const ssize_t n = ::recv(fd, buf, len, MSG_TRUNC);
     if (n < 0) {
       if (errno == EINTR) {
@@ -73,7 +70,7 @@ Status RecvDatagram(int fd, void* buf, size_t len) {
 // process with SIGPIPE — the caller turns it into a peer-down event.
 Status SendDatagram(int fd, const void* buf, size_t len) {
   for (;;) {
-    SyscallCounter()->Inc();
+    CountSyscall();
     const ssize_t n = ::send(fd, buf, len, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) {
@@ -159,12 +156,6 @@ SocketTransport::SocketTransport(HostId me, std::vector<int> fds_by_peer)
   for (size_t i = 0; i < fds_.size(); ++i) {
     send_mu_.push_back(std::make_unique<std::mutex>());
   }
-  MetricsRegistry& reg = MetricsRegistry::Global();
-  msgs_sent_ = reg.GetCounter("net.msgs_sent");
-  msgs_recv_ = reg.GetCounter("net.msgs_recv");
-  send_ns_ = reg.GetHistogram("net.send_ns");
-  send_bytes_ = reg.GetHistogram("net.send_bytes");
-  recv_bytes_ = reg.GetHistogram("net.recv_bytes");
 }
 
 int SocketTransport::ClosePeer(int fd) {
@@ -204,7 +195,7 @@ Status SocketTransport::Send(HostId to, MsgHeader h, const void* payload, size_t
     h.flags |= kFlagHasPayload;
     h.pgsize = static_cast<uint32_t>(len);
   }
-  ScopedTimer timer(send_ns_);
+  ScopedTimer timer(&metrics_.histogram(Hist::kNetSendNs));
   std::lock_guard<std::mutex> lock(*send_mu_[to]);
   const int fd = fds_[to];
   if (fd < 0) {
@@ -226,8 +217,8 @@ Status SocketTransport::Send(HostId to, MsgHeader h, const void* payload, size_t
       return payload_st;
     }
   }
-  msgs_sent_->Inc();
-  send_bytes_->Record(sizeof(h) + (h.has_payload() ? len : 0));
+  metrics_.Inc(Metric::kNetMsgsSent);
+  metrics_.histogram(Hist::kNetSendBytes).Record(sizeof(h) + (h.has_payload() ? len : 0));
   return Status::Ok();
 }
 
@@ -267,7 +258,7 @@ Result<bool> SocketTransport::Poll(HostId me, MsgHeader* h, const PayloadSink& s
     const bool fake_eintr =
         FailpointRegistry::Instance().Fire("socket.poll.eintr").has_value();
     if (!fake_eintr) {
-      SyscallCounter()->Inc();
+      CountSyscall();
     }
     ready = fake_eintr ? -1 : ::poll(pfds.data(), pfds.size(), timeout_ms);
     if (ready >= 0) {
@@ -323,8 +314,9 @@ Result<bool> SocketTransport::Poll(HostId me, MsgHeader* h, const PayloadSink& s
       }
       MP_RETURN_IF_ERROR(payload_st);
     }
-    msgs_recv_->Inc();
-    recv_bytes_->Record(sizeof(*h) + (h->has_payload() ? h->pgsize : 0));
+    metrics_.Inc(Metric::kNetMsgsRecv);
+    metrics_.histogram(Hist::kNetRecvBytes)
+        .Record(sizeof(*h) + (h->has_payload() ? h->pgsize : 0));
     return true;
   }
   return false;

@@ -76,11 +76,7 @@ class SocketTransport : public Transport {
 
   // Wire metrics (process-global registry: one socket transport per process
   // in the forked deployment). Datagram sizes include the 32-byte header.
-  Counter* msgs_sent_ = nullptr;
-  Counter* msgs_recv_ = nullptr;
-  Histogram* send_ns_ = nullptr;     // header(+payload) syscall pair
-  Histogram* send_bytes_ = nullptr;
-  Histogram* recv_bytes_ = nullptr;
+  MetricsRegistry& metrics_ = MetricsRegistry::Global();
 };
 
 }  // namespace millipage

@@ -68,7 +68,7 @@ unsigned NextPow2(unsigned v) {
 // Ring
 // ---------------------------------------------------------------------------
 
-Status UringTransport::Ring::Init(unsigned entries, unsigned cq_size, bool want_sqpoll) {
+Status UringTransport::Ring::Init(unsigned entries, unsigned cq_size) {
   struct io_uring_params p;
   std::memset(&p, 0, sizeof(p));
   p.flags = IORING_SETUP_CLAMP;
@@ -76,16 +76,11 @@ Status UringTransport::Ring::Init(unsigned entries, unsigned cq_size, bool want_
     p.flags |= IORING_SETUP_CQSIZE;
     p.cq_entries = cq_size;
   }
-  if (want_sqpoll) {
-    p.flags |= IORING_SETUP_SQPOLL;
-    p.sq_thread_idle = 50;  // ms before the poller kthread parks
-  }
   fd = SysUringSetup(entries, &p);
   if (fd < 0) {
     return Status::Errno("io_uring_setup");
   }
   features = p.features;
-  sqpoll = want_sqpoll;
   if ((features & IORING_FEAT_SINGLE_MMAP) == 0) {
     // Pre-5.4 split-mmap layout; such kernels lack everything else we need
     // anyway, so don't bother supporting it.
@@ -114,7 +109,6 @@ Status UringTransport::Ring::Init(unsigned entries, unsigned cq_size, bool want_
   auto* base = static_cast<char*>(ring_mem);
   sq_head = reinterpret_cast<unsigned*>(base + p.sq_off.head);
   sq_tail = reinterpret_cast<unsigned*>(base + p.sq_off.tail);
-  sq_flags = reinterpret_cast<unsigned*>(base + p.sq_off.flags);
   sq_array = reinterpret_cast<unsigned*>(base + p.sq_off.array);
   sq_mask = *reinterpret_cast<unsigned*>(base + p.sq_off.ring_mask);
   sq_entries = p.sq_entries;
@@ -158,7 +152,7 @@ struct io_uring_sqe* UringTransport::Ring::GetSqe() {
   return sqe;
 }
 
-Status UringTransport::Ring::Submit(Counter* syscalls, Counter* submits, Histogram* batch) {
+Status UringTransport::Ring::Submit(Count count) {
   // Publish everything prepped since the last submit; to_submit is derived
   // from the kernel's head so a previous partial consume is retried too.
   __atomic_store_n(sq_tail, sq_local_tail, __ATOMIC_RELEASE);
@@ -166,25 +160,14 @@ Status UringTransport::Ring::Submit(Counter* syscalls, Counter* submits, Histogr
   if (to_submit == 0) {
     return Status::Ok();
   }
-  if (submits != nullptr) {
-    submits->Inc();
-  }
-  if (batch != nullptr) {
-    batch->Record(to_submit);
-  }
-  if (sqpoll) {
-    // The kernel thread consumes the ring on its own; enter only to wake it.
-    if ((__atomic_load_n(sq_flags, __ATOMIC_ACQUIRE) & IORING_SQ_NEED_WAKEUP) != 0) {
-      if (syscalls != nullptr) {
-        syscalls->Inc();
-      }
-      (void)SysUringEnter(fd, to_submit, 0, IORING_ENTER_SQ_WAKEUP, nullptr, 0);
-    }
-    return Status::Ok();
+  MetricsRegistry& metrics = MetricsRegistry::Global();
+  if (count == Count::kBatch) {
+    metrics.Inc(Metric::kUringSubmits);
+    metrics.histogram(Hist::kUringSqeBatch).Record(to_submit);
   }
   for (;;) {
-    if (syscalls != nullptr) {
-      syscalls->Inc();
+    if (count != Count::kNothing) {
+      metrics.Inc(Metric::kNetSyscalls);
     }
     const int ret = SysUringEnter(fd, to_submit, 0, 0, nullptr, 0);
     if (ret >= 0) {
@@ -198,15 +181,15 @@ Status UringTransport::Ring::Submit(Counter* syscalls, Counter* submits, Histogr
   }
 }
 
-Result<bool> UringTransport::Ring::WaitCqe(uint64_t timeout_ns, Counter* syscalls) {
+Result<bool> UringTransport::Ring::WaitCqe(uint64_t timeout_ns, Count count) {
   struct __kernel_timespec ts;
   ts.tv_sec = static_cast<int64_t>(timeout_ns / 1000000000ULL);
   ts.tv_nsec = static_cast<int64_t>(timeout_ns % 1000000000ULL);
   struct io_uring_getevents_arg arg;
   std::memset(&arg, 0, sizeof(arg));
   arg.ts = reinterpret_cast<uint64_t>(&ts);
-  if (syscalls != nullptr) {
-    syscalls->Inc();
+  if (count != Count::kNothing) {
+    MetricsRegistry::Global().Inc(Metric::kNetSyscalls);
   }
   const int ret = SysUringEnter(fd, 0, 1, IORING_ENTER_GETEVENTS | IORING_ENTER_EXT_ARG, &arg,
                                 sizeof(arg));
@@ -322,7 +305,7 @@ bool UringTransport::ProbeSupport() {
   // inferred from the opcode horizon reaching IORING_OP_SEND_ZC), and
   // EXT_ARG timed waits. Probe with a scratch ring so no fds are risked.
   Ring ring;
-  if (!ring.Init(4, 8, /*want_sqpoll=*/false).ok()) {
+  if (!ring.Init(4, 8).ok()) {
     return false;
   }
   bool ok = (ring.features & IORING_FEAT_EXT_ARG) != 0 &&
@@ -386,30 +369,13 @@ UringTransport::UringTransport(HostId me, std::vector<int> fds_by_peer)
     c.open = c.fd >= 0;
     std::memset(&c.mh, 0, sizeof(c.mh));  // no iov/name/control: ring buffers
   }
-  MetricsRegistry& reg = MetricsRegistry::Global();
-  msgs_sent_ = reg.GetCounter("net.msgs_sent");
-  msgs_recv_ = reg.GetCounter("net.msgs_recv");
-  send_ns_ = reg.GetHistogram("net.send_ns");
-  send_bytes_ = reg.GetHistogram("net.send_bytes");
-  recv_bytes_ = reg.GetHistogram("net.recv_bytes");
-  syscalls_ = reg.GetCounter("net.syscalls");
-  submits_ = reg.GetCounter("net.uring.submits");
-  sqe_batch_ = reg.GetHistogram("net.uring.sqe_batch");
-  recv_cqes_ = reg.GetCounter("net.uring.recv_cqes");
 }
 
-Status UringTransport::InitRings(const UringOptions& opts) {
-  Status st = send_ring_.Init(kSendSqEntries, kSendCqEntries, opts.sqpoll);
-  if (!st.ok() && opts.sqpoll) {
-    // SQPOLL needs privileges on older kernels; degrade to plain submission.
-    st = send_ring_.Init(kSendSqEntries, kSendCqEntries, /*want_sqpoll=*/false);
-  }
-  MP_RETURN_IF_ERROR(st);
-  sqpoll_active_ = send_ring_.sqpoll;
+Status UringTransport::InitRings() {
+  MP_RETURN_IF_ERROR(send_ring_.Init(kSendSqEntries, kSendCqEntries));
   const unsigned n = static_cast<unsigned>(fds_.size());
   const unsigned recv_sq = std::clamp(NextPow2(n + 2), 64U, 4096U);
-  MP_RETURN_IF_ERROR(recv_ring_.Init(recv_sq, std::max(2 * kRecvBufCount + recv_sq, 512U),
-                                     /*want_sqpoll=*/false));
+  MP_RETURN_IF_ERROR(recv_ring_.Init(recv_sq, std::max(2 * kRecvBufCount + recv_sq, 512U)));
   if ((recv_ring_.features & IORING_FEAT_EXT_ARG) == 0 ||
       (recv_ring_.features & IORING_FEAT_NODROP) == 0) {
     return Status::Unavailable("io_uring: kernel lacks EXT_ARG/NODROP");
@@ -418,12 +384,11 @@ Status UringTransport::InitRings(const UringOptions& opts) {
   for (uint16_t j = 0; j < recv_conns_.size(); ++j) {
     MP_RETURN_IF_ERROR(ArmRecv(j));
   }
-  return recv_ring_.Submit(syscalls_, nullptr, nullptr);
+  return recv_ring_.Submit(Ring::Count::kSyscalls);
 }
 
 Result<std::unique_ptr<UringTransport>> UringTransport::Create(HostId me,
-                                                               std::vector<int> fds_by_peer,
-                                                               const UringOptions& opts) {
+                                                               std::vector<int> fds_by_peer) {
   if (!UringTransportSupported()) {
     for (int fd : fds_by_peer) {
       if (fd >= 0) {
@@ -434,7 +399,7 @@ Result<std::unique_ptr<UringTransport>> UringTransport::Create(HostId me,
         "io_uring transport unsupported: kernel lacks multishot RECVMSG or buffer rings");
   }
   std::unique_ptr<UringTransport> t(new UringTransport(me, std::move(fds_by_peer)));
-  MP_RETURN_IF_ERROR(t->InitRings(opts));
+  MP_RETURN_IF_ERROR(t->InitRings());
   return t;
 }
 
@@ -452,12 +417,12 @@ UringTransport::~UringTransport() {
   const uint64_t deadline_ns = MonotonicNowNs() + 1000000000ULL;
   {
     std::lock_guard<std::mutex> lock(send_mu_);
-    (void)send_ring_.Submit(nullptr, nullptr, nullptr);  // release anything prepped
+    (void)send_ring_.Submit(Ring::Count::kNothing);  // release anything prepped
     std::vector<HostId> dead;
     while (inflight_ops_ > 0 && MonotonicNowNs() < deadline_ns) {
       ReapSendCqesLocked(&dead);
       if (inflight_ops_ > 0) {
-        (void)send_ring_.WaitCqe(50 * 1000 * 1000, nullptr);
+        (void)send_ring_.WaitCqe(50 * 1000 * 1000, Ring::Count::kNothing);
       }
     }
   }
@@ -468,7 +433,7 @@ UringTransport::~UringTransport() {
   while (armed > 0 && MonotonicNowNs() < deadline_ns) {
     struct io_uring_cqe* cqe = recv_ring_.PeekCqe();
     if (cqe == nullptr) {
-      Result<bool> r = recv_ring_.WaitCqe(50 * 1000 * 1000, nullptr);
+      Result<bool> r = recv_ring_.WaitCqe(50 * 1000 * 1000, Ring::Count::kNothing);
       if (!r.ok() || !*r) {
         break;
       }
@@ -571,7 +536,7 @@ Status UringTransport::PumpSendsLocked(bool allow_defer) {
       struct io_uring_sqe* sqe = send_ring_.GetSqe();
       if (sqe == nullptr) {
         // SQ full: release it (one enter) and grow the chain afterwards.
-        MP_RETURN_IF_ERROR(send_ring_.Submit(syscalls_, submits_, sqe_batch_));
+        MP_RETURN_IF_ERROR(send_ring_.Submit(Ring::Count::kBatch));
         sqe = send_ring_.GetSqe();
         if (sqe == nullptr) {
           break;  // SQ still full of unconsumed entries; next pump retries
@@ -596,7 +561,7 @@ Status UringTransport::PumpSendsLocked(bool allow_defer) {
   if (allow_defer) {
     return Status::Ok();  // EndBurst releases everything in one enter
   }
-  return send_ring_.Submit(syscalls_, submits_, sqe_batch_);
+  return send_ring_.Submit(Ring::Count::kBatch);
 }
 
 void UringTransport::ReapSendCqesLocked(std::vector<HostId>* newly_dead) {
@@ -656,7 +621,7 @@ Status UringTransport::Send(HostId to, MsgHeader h, const void* payload, size_t 
   if (len > kMaxDatagramBytes || sizeof(h) > kMaxDatagramBytes) {
     return Status::Invalid("UringTransport::Send: datagram exceeds ring buffer capacity");
   }
-  ScopedTimer timer(send_ns_);
+  ScopedTimer timer(&metrics_.histogram(Hist::kNetSendNs));
   Status st;
   {
     std::lock_guard<std::mutex> lock(send_mu_);
@@ -676,8 +641,8 @@ Status UringTransport::Send(HostId to, MsgHeader h, const void* payload, size_t 
     }
   }
   if (st.ok()) {
-    msgs_sent_->Inc();
-    send_bytes_->Record(sizeof(h) + (h.has_payload() ? len : 0));
+    metrics_.Inc(Metric::kNetMsgsSent);
+    metrics_.histogram(Hist::kNetSendBytes).Record(sizeof(h) + (h.has_payload() ? len : 0));
   }
   return st;
 }
@@ -713,7 +678,7 @@ Status UringTransport::ArmRecv(uint16_t conn_idx) {
   }
   struct io_uring_sqe* sqe = recv_ring_.GetSqe();
   if (sqe == nullptr) {
-    MP_RETURN_IF_ERROR(recv_ring_.Submit(syscalls_, nullptr, nullptr));
+    MP_RETURN_IF_ERROR(recv_ring_.Submit(Ring::Count::kSyscalls));
     sqe = recv_ring_.GetSqe();
     if (sqe == nullptr) {
       return Status::Internal("uring: recv SQ full");
@@ -748,7 +713,7 @@ void UringTransport::ArmAllIdleRecvs() {
     }
   }
   if (prepped) {
-    (void)recv_ring_.Submit(syscalls_, nullptr, nullptr);
+    (void)recv_ring_.Submit(Ring::Count::kSyscalls);
   }
 }
 
@@ -872,9 +837,10 @@ Status UringTransport::ConsumeRecvCqe(struct io_uring_cqe* cqe, MsgHeader* h,
     }
     *delivered = true;
   }
-  msgs_recv_->Inc();
-  recv_bytes_->Record(sizeof(MsgHeader) + (h->has_payload() ? h->pgsize : 0));
-  recv_cqes_->Inc();
+  metrics_.Inc(Metric::kNetMsgsRecv);
+  metrics_.histogram(Hist::kNetRecvBytes)
+      .Record(sizeof(MsgHeader) + (h->has_payload() ? h->pgsize : 0));
+  metrics_.Inc(Metric::kUringRecvCqes);
   return Status::Ok();
 }
 
@@ -931,7 +897,8 @@ Result<bool> UringTransport::Poll(HostId me, MsgHeader* h, const PayloadSink& si
     // re-arm *before* blocking — the fresh recv picks up any data already
     // queued in the socket and posts the CQE the wait needs.
     ArmAllIdleRecvs();
-    MP_ASSIGN_OR_RETURN(const bool ready, recv_ring_.WaitCqe(deadline_ns - now, syscalls_));
+    MP_ASSIGN_OR_RETURN(const bool ready,
+                        recv_ring_.WaitCqe(deadline_ns - now, Ring::Count::kSyscalls));
     if (!ready) {
       return false;
     }

@@ -66,10 +66,6 @@ Status FaultHandler::InstallSigaction() {
   static std::once_flag once;
   Status result = Status::Ok();
   std::call_once(once, [&result, this] {
-    MetricsRegistry& reg = MetricsRegistry::Global();
-    dispatched_metric_ = reg.GetCounter("fault.dispatched");
-    decode_ns_ = reg.GetHistogram("fault.decode_ns");
-    service_ns_ = reg.GetHistogram("fault.service_ns");
     struct sigaction sa;
     memset(&sa, 0, sizeof(sa));
     sa.sa_sigaction = reinterpret_cast<void (*)(int, siginfo_t*, void*)>(&SignalEntry);
@@ -322,13 +318,13 @@ void FaultHandler::SignalEntry(int signo, void* info_raw, void* ucontext) {
   // clock_gettime is on the vDSO fast path and the histogram updates are
   // relaxed atomics, so timing at signal depth is safe; when metrics are off
   // the handler pays one load and a branch.
-  const bool timed = MetricsEnabled() && fh.service_ns_ != nullptr;
+  const bool timed = MetricsEnabled();
   const uint64_t t0 = timed ? MonotonicNowNs() : 0;
   auto* info = static_cast<siginfo_t*>(info_raw);
   void* addr = info->si_addr;
   const bool is_write = FaultWasWrite(ucontext);
   if (timed) {
-    fh.decode_ns_->RecordAlways(MonotonicNowNs() - t0);
+    fh.metrics_.histogram(Hist::kFaultDecodeNs).RecordAlways(MonotonicNowNs() - t0);
   }
   if (tls_uffd_poller) {
     // The uffd poller thread faulted — either inside a callback it was
@@ -353,7 +349,7 @@ void FaultHandler::SignalEntry(int signo, void* info_raw, void* ucontext) {
   tls_fault_depth--;
   if (handled) {
     if (timed) {
-      fh.service_ns_->RecordAlways(MonotonicNowNs() - t0);
+      fh.metrics_.histogram(Hist::kFaultServiceNs).RecordAlways(MonotonicNowNs() - t0);
     }
     return;  // protection was upgraded; the faulting instruction retries
   }
@@ -391,12 +387,12 @@ void FaultHandler::PollerLoop() {
     if (msg.event != UFFD_EVENT_PAGEFAULT) {
       continue;  // fork/remap/unmap events are not subscribed
     }
-    const bool timed = MetricsEnabled() && service_ns_ != nullptr;
+    const bool timed = MetricsEnabled();
     const uint64_t t0 = timed ? MonotonicNowNs() : 0;
     void* addr = reinterpret_cast<void*>(msg.arg.pagefault.address & ~(page - 1));
     const bool is_write = (msg.arg.pagefault.flags & UFFD_PAGEFAULT_FLAG_WRITE) != 0;
     if (timed) {
-      decode_ns_->RecordAlways(MonotonicNowNs() - t0);
+      metrics_.histogram(Hist::kFaultDecodeNs).RecordAlways(MonotonicNowNs() - t0);
     }
     // The callback runs the full protocol on this thread. tls_fault_depth
     // keeps the sigsegv-side guard armed: if the protocol SIGSEGVs here, the
@@ -411,7 +407,7 @@ void FaultHandler::PollerLoop() {
       return;
     }
     if (timed) {
-      service_ns_->RecordAlways(MonotonicNowNs() - t0);
+      metrics_.histogram(Hist::kFaultServiceNs).RecordAlways(MonotonicNowNs() - t0);
     }
     // The protection upgrade itself (UFFDIO_CONTINUE / WRITEPROTECT) wakes
     // waiters in the range; the explicit wake covers callbacks that resolved
@@ -425,10 +421,7 @@ void FaultHandler::PollerLoop() {
 }
 
 bool FaultHandler::Dispatch(void* fault_addr, bool is_write) {
-  faults_dispatched_.fetch_add(1, std::memory_order_relaxed);
-  if (dispatched_metric_ != nullptr) {
-    dispatched_metric_->Inc();
-  }
+  metrics_.Inc(Metric::kFaultsDispatched);
   for (Slot& slot : slots_) {
     FaultCallback cb = slot.cb.load(std::memory_order_acquire);
     if (cb == nullptr) {

@@ -101,9 +101,7 @@ class FaultHandler {
   // instantiates the object through the privileged view at creation).
   Status UffdEnsureRange(void* base, size_t len, bool write_protect);
 
-  uint64_t faults_dispatched() const {
-    return faults_dispatched_.load(std::memory_order_relaxed);
-  }
+  uint64_t faults_dispatched() const { return metrics_.value(Metric::kFaultsDispatched); }
 
   FaultHandler(const FaultHandler&) = delete;
   FaultHandler& operator=(const FaultHandler&) = delete;
@@ -127,19 +125,14 @@ class FaultHandler {
 
   Slot slots_[kMaxSlots];
   std::atomic<bool> installed_{false};
-  std::atomic<uint64_t> faults_dispatched_{0};
   std::atomic<FaultBackend> active_backend_{FaultBackend::kSigsegv};
 
   // uffd state: fixed after the one-time bring-up attempt.
   std::atomic<int> uffd_state_{0};  // 0 = untried, 1 = available, -1 = unavailable
   int uffd_fd_ = -1;
 
-  // Registered in Install() (before the sigaction goes live) so SignalEntry
-  // only ever touches stable pointers — no registry locking in the handler.
-  // Histogram updates are relaxed atomics, safe at signal depth.
-  Counter* dispatched_metric_ = nullptr;   // fault.dispatched
-  Histogram* decode_ns_ = nullptr;         // fault entry -> addr/W decode
-  Histogram* service_ns_ = nullptr;        // fault entry -> fault resolved
+  // fault.* metrics. Updates are relaxed atomics, safe at signal depth.
+  MetricsRegistry& metrics_ = MetricsRegistry::Global();
 };
 
 }  // namespace millipage

@@ -155,7 +155,7 @@ TEST(AppsPageBased, AlternatingWritersPayForFalseSharing) {
         node.Barrier();
       }
     });
-    return (*cluster)->TotalCounters().write_faults;
+    return (*cluster)->TotalCounter(Metric::kWriteFaults);
   };
   const uint64_t fine_faults = run(false);
   const uint64_t coarse_faults = run(true);

@@ -203,7 +203,7 @@ TEST(Chaos, DroppedFetchReplyRecoversByRetry) {
   const uint64_t elapsed_ms = (MonotonicNowNs() - t0) / 1000000;
 
   EXPECT_EQ(pair.t1.receives_dropped(), 1u);
-  EXPECT_EQ(pair.n1->timeout_retries(), 1u);
+  EXPECT_EQ(pair.n1->counter(Metric::kTimeoutRetries), 1u);
   const int* data1 = reinterpret_cast<const int*>(pair.n1->AppPtr(*addr));
   for (int i = 0; i < 64; ++i) {
     ASSERT_EQ(data1[i], 7000 + i) << "index " << i;
@@ -288,7 +288,7 @@ TEST(Chaos, DroppedRepliesBackOffBeforeEachResend) {
   const uint64_t elapsed_ms = (MonotonicNowNs() - t0) / 1000000;
 
   EXPECT_EQ(pair.t1.receives_dropped(), 2u);
-  EXPECT_EQ(pair.n1->timeout_retries(), 2u);
+  EXPECT_EQ(pair.n1->counter(Metric::kTimeoutRetries), 2u);
   const uint64_t floor_ms = DsmNode::RetryTimeoutMs(cfg, 1, 0) +
                             DsmNode::RetryTimeoutMs(cfg, 1, 1);  // 100 + 200
   EXPECT_GE(elapsed_ms, floor_ms - 2) << "retries fired faster than the backoff";
@@ -321,8 +321,8 @@ TEST(Chaos, DelayedAckPathIsSlowButCorrect) {
     ASSERT_EQ(data1[i], 40 + i);
   }
   // Slow is not dead: no retries fired, no abort latched.
-  EXPECT_EQ(pair.n1->timeout_retries(), 0u);
-  EXPECT_EQ(pair.n1->stale_replies(), 0u);
+  EXPECT_EQ(pair.n1->counter(Metric::kTimeoutRetries), 0u);
+  EXPECT_EQ(pair.n1->counter(Metric::kStaleReplies), 0u);
   EXPECT_TRUE(pair.n1->health().ok());
   EXPECT_TRUE(pair.n0->health().ok());
 }
@@ -386,7 +386,7 @@ TEST(Chaos, DuplicateInvalidateReplyIsAbsorbedByManager) {
   // The duplicate arrives on the manager's next poll; wait until it has been
   // counted (absorbed) rather than fatally checked.
   const uint64_t t0 = MonotonicNowNs();
-  while (n0.counters().dup_invalidate_replies.value() == 0) {
+  while (n0.counter(Metric::kDupInvalidateReplies) == 0) {
     ASSERT_LT((MonotonicNowNs() - t0) / 1000000, kDetectBudgetMs)
         << "duplicate reply never reached the idempotence path";
     ::usleep(1000);

@@ -75,22 +75,6 @@ TEST(RngTest, BoundsRespected) {
   }
 }
 
-TEST(HostCountersTest, AddAndSubtract) {
-  HostCounters a;
-  a.read_faults = 10;
-  a.bytes_sent = 100;
-  HostCounters b;
-  b.read_faults = 3;
-  b.bytes_sent = 40;
-  HostCounters sum = a;
-  sum += b;
-  EXPECT_EQ(sum.read_faults, 13u);
-  EXPECT_EQ(sum.bytes_sent, 140u);
-  const HostCounters diff = sum - a;
-  EXPECT_EQ(diff.read_faults, 3u);
-  EXPECT_EQ(diff.bytes_sent, 40u);
-}
-
 // Latency histogram coverage lives in metrics_test.cc (Histogram /
 // HistogramSnapshot superseded the old stats.h LatencyHistogram).
 

@@ -56,13 +56,13 @@ TEST(Protocol, UpgradeWriteAfterRead) {
     }
     node.Barrier();
   });
-  const HostCounters c1 = (*cluster)->node(1).counters();
-  EXPECT_EQ(c1.read_faults, 1u);
-  EXPECT_EQ(c1.write_faults, 1u);
+  const CounterValues c1 = (*cluster)->node(1).metrics().Counters();
+  EXPECT_EQ(c1[Metric::kReadFaults], 1u);
+  EXPECT_EQ(c1[Metric::kWriteFaults], 1u);
   // The write was an upgrade (requester already held a copy): no data moved.
-  EXPECT_EQ(c1.write_fault_bytes, 0u);
+  EXPECT_EQ(c1[Metric::kWriteFaultBytes], 0u);
   // The manager's copy was invalidated.
-  EXPECT_EQ((*cluster)->node(0).counters().invalidations_received, 1u);
+  EXPECT_EQ((*cluster)->node(0).counter(Metric::kInvalidationsReceived), 1u);
 }
 
 TEST(Protocol, WriteMovesDataWhenRequesterHasNoCopy) {
@@ -80,9 +80,9 @@ TEST(Protocol, WriteMovesDataWhenRequesterHasNoCopy) {
     }
     node.Barrier();
   });
-  const HostCounters c1 = (*cluster)->node(1).counters();
-  EXPECT_EQ(c1.write_faults, 1u);
-  EXPECT_EQ(c1.write_fault_bytes, 64u);
+  const CounterValues c1 = (*cluster)->node(1).metrics().Counters();
+  EXPECT_EQ(c1[Metric::kWriteFaults], 1u);
+  EXPECT_EQ(c1[Metric::kWriteFaultBytes], 64u);
 }
 
 TEST(Protocol, CompetingRequestsAreCountedAndServed) {
@@ -100,14 +100,13 @@ TEST(Protocol, CompetingRequestsAreCountedAndServed) {
     EXPECT_EQ(*p, 1234);
     node.Barrier();
   });
-  const ManagerCounters mc = (*cluster)->TotalManagerCounters();
-  EXPECT_GE(mc.requests_served, 5u);
+  EXPECT_GE((*cluster)->TotalCounter(Metric::kRequestsServed), 5u);
   // At least some of the simultaneous faults must have queued. Under the
   // userfaultfd backend the in-process cluster funnels every host's faults
   // through one poller thread, so requests are serialized before they reach
   // the manager and nothing can queue — the counter stays 0 by construction.
   if (FaultBackendFromEnv() != FaultBackend::kUserfaultfd) {
-    EXPECT_GE(uint64_t{(*cluster)->TotalCounters().competing_requests}, 1u);
+    EXPECT_GE((*cluster)->TotalCounter(Metric::kCompetingRequests), 1u);
   }
 }
 
@@ -135,10 +134,10 @@ TEST(Protocol, PrefetchAvoidsBlockingFault) {
     }
     node.Barrier();
   });
-  const HostCounters c1 = (*cluster)->node(1).counters();
-  EXPECT_EQ(c1.prefetches, 1u);
-  EXPECT_GE(c1.prefetch_bytes, 256u);
-  EXPECT_EQ(c1.read_faults, 0u);
+  const CounterValues c1 = (*cluster)->node(1).metrics().Counters();
+  EXPECT_EQ(c1[Metric::kPrefetches], 1u);
+  EXPECT_GE(c1[Metric::kPrefetchBytes], 256u);
+  EXPECT_EQ(c1[Metric::kReadFaults], 0u);
 }
 
 TEST(Protocol, FetchGroupBatchesReads) {
@@ -164,8 +163,8 @@ TEST(Protocol, FetchGroupBatchesReads) {
       for (int i = 0; i < 12; ++i) {
         EXPECT_EQ(cells[static_cast<size_t>(i)][0], 10 * i);  // no faults now
       }
-      EXPECT_EQ(node.counters().read_faults, 0u);
-      EXPECT_EQ(node.counters().prefetches, 12u);
+      EXPECT_EQ(node.counter(Metric::kReadFaults), 0u);
+      EXPECT_EQ(node.counter(Metric::kPrefetches), 12u);
       // Idempotent: a second group fetch finds everything present.
       EXPECT_EQ(node.FetchGroup(addrs.data(), addrs.size()), 0u);
     }
@@ -227,7 +226,7 @@ TEST(Protocol, PushUpdateDistributesReadCopies) {
   // small number — without the push every host would fault.
   uint64_t read_faults_after = 0;
   for (uint16_t h = 0; h < 4; ++h) {
-    read_faults_after += (*cluster)->node(h).counters().read_faults;
+    read_faults_after += (*cluster)->node(h).counter(Metric::kReadFaults);
   }
   EXPECT_LE(read_faults_after, 3u) << "push must have installed copies everywhere";
 }
@@ -277,7 +276,7 @@ TEST(Protocol, BarriersReusableAcrossGenerations) {
     }
   });
   for (uint16_t h = 0; h < 3; ++h) {
-    EXPECT_EQ((*cluster)->node(h).counters().barriers, 2u * kGenerations);
+    EXPECT_EQ((*cluster)->node(h).counter(Metric::kBarriers), 2u * kGenerations);
   }
 }
 
@@ -300,10 +299,32 @@ TEST(Protocol, EpochRecordsTrackPerBarrierDeltas) {
   });
   const auto epochs1 = (*cluster)->node(1).epochs();
   ASSERT_EQ(epochs1.size(), 2u);
-  EXPECT_EQ(epochs1[0].delta.work_units, 100u);
-  EXPECT_EQ(epochs1[0].delta.read_faults, 0u);
-  EXPECT_EQ(epochs1[1].delta.work_units, 50u);
-  EXPECT_EQ(epochs1[1].delta.read_faults, 1u);
+  EXPECT_EQ(epochs1[0].delta[Metric::kWorkUnits], 100u);
+  EXPECT_EQ(epochs1[0].delta[Metric::kReadFaults], 0u);
+  EXPECT_EQ(epochs1[1].delta[Metric::kWorkUnits], 50u);
+  EXPECT_EQ(epochs1[1].delta[Metric::kReadFaults], 1u);
+
+  // The epochs partition each host's history: their deltas sum to the
+  // registry's final values. Server-thread traffic (barrier releases) may
+  // still land after a host's last barrier, so only the entries the model
+  // prices must match exactly; no entry may exceed its final value.
+  for (uint16_t h = 0; h < 2; ++h) {
+    CounterValues sum;
+    for (const EpochRecord& r : (*cluster)->node(h).epochs()) {
+      sum += r.delta;
+    }
+    const CounterValues final_values = (*cluster)->node(h).metrics().Counters();
+    for (size_t i = 0; i < kNumCounters; ++i) {
+      EXPECT_LE(sum.v[i], final_values.v[i]) << kCounterNames[i] << " host " << h;
+    }
+    for (Metric m : {Metric::kWorkUnits, Metric::kReadFaults, Metric::kWriteFaults,
+                     Metric::kReadFaultBytes, Metric::kWriteFaultBytes, Metric::kPrefetches,
+                     Metric::kPrefetchBytes, Metric::kLockAcquires, Metric::kBarriers,
+                     Metric::kInvalidationsReceived, Metric::kCompetingRequests}) {
+      EXPECT_EQ(sum[m], final_values[m])
+          << kCounterNames[static_cast<size_t>(m)] << " host " << h;
+    }
+  }
 }
 
 TEST(Protocol, AllocationFailureIsReported) {
@@ -402,8 +423,9 @@ TEST(Protocol, StaleReplyAfterRetryIsDiscardedAndAcked) {
   t0.DelaySends(1, MsgType::kReadReply, 450 * 1000, /*count=*/1);
   ASSERT_TRUE(n1->OnFault(addr->view, addr->offset, /*is_write=*/false));
 
-  EXPECT_EQ(n1->timeout_retries(), 1u);
-  EXPECT_EQ(n1->stale_replies(), 1u) << "the late reply must be discarded by generation";
+  EXPECT_EQ(n1->counter(Metric::kTimeoutRetries), 1u);
+  EXPECT_EQ(n1->counter(Metric::kStaleReplies), 1u)
+      << "the late reply must be discarded by generation";
   const int* data1 = reinterpret_cast<const int*>(n1->AppPtr(*addr));
   for (int i = 0; i < 16; ++i) {
     ASSERT_EQ(data1[i], 900 + i) << "index " << i;
@@ -416,7 +438,7 @@ TEST(Protocol, StaleReplyAfterRetryIsDiscardedAndAcked) {
   ASSERT_TRUE(n1->OnFault(addr->view, addr->offset, /*is_write=*/true));
   const uint64_t write_ms = (MonotonicNowNs() - t_write) / 1000000;
   EXPECT_LT(write_ms, cfg.request_timeout_ms) << "minipage service left open";
-  EXPECT_EQ(n1->timeout_retries(), 1u) << "the follow-up write must not retry";
+  EXPECT_EQ(n1->counter(Metric::kTimeoutRetries), 1u) << "the follow-up write must not retry";
   EXPECT_TRUE(n1->health().ok());
   EXPECT_TRUE(n0->health().ok());
 
@@ -464,7 +486,7 @@ TEST(Protocol, GrantInstallFailureDegradesAccessNotCluster) {
   // The old holder kept its copy, so the directory never emptied: nothing
   // was declared lost cluster-wide, and the SAME access succeeds once the
   // (transient, one-shot) failure clears.
-  EXPECT_EQ((*cluster)->node(0).minipages_lost(), 0u);
+  EXPECT_EQ((*cluster)->node(0).counter(Metric::kMinipagesLost), 0u);
   const Status again = n1.FaultService(va.view, va.offset, /*is_write=*/false);
   ASSERT_TRUE(again.ok()) << again.ToString();
   EXPECT_EQ(*reinterpret_cast<const int*>(n1.AppPtr(va)), 2);
@@ -585,15 +607,42 @@ TEST(Protocol, MetricsMoveAsProtocolRuns) {
   // SIGSEGV entry instrumentation (process-global registry).
   EXPECT_GT(FaultHandler::Instance().faults_dispatched(), dispatched_before);
   EXPECT_GE(s.histograms.at("fault.service_ns").count, 3u);
-  // The per-host counter blocks agree with the flat snapshot.
+  // The per-host counter reads agree with the flat snapshot.
   EXPECT_EQ(s.counters.at("host.read_faults"),
-            uint64_t{(*cluster)->TotalCounters().read_faults});
+            (*cluster)->TotalCounter(Metric::kReadFaults));
   // And the emitter produces something a JSON consumer will accept.
   const std::string json = (*cluster)->SnapshotMetrics().DumpJson();
   EXPECT_NE(json.find("\"host.read_faults\""), std::string::npos);
   EXPECT_NE(json.find("\"dsm.read_fault_ns\""), std::string::npos);
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');
+}
+
+TEST(Protocol, CoalescedCountersAreExported) {
+  // A batched invalidation round routes its fan-out through the coalescer;
+  // the datagrams and records it sends show up in the cluster snapshot.
+  DsmConfig cfg = Cfg(4);
+  cfg.batch_coherence = true;
+  auto cluster = DsmCluster::Create(cfg);
+  ASSERT_TRUE(cluster.ok());
+  GlobalPtr<int> p;
+  (*cluster)->RunOnManager([&](DsmNode&) {
+    p = SharedAlloc<int>(16);
+    p[0] = 1;
+  });
+  (*cluster)->RunParallel([&](DsmNode& node, HostId host) {
+    node.Barrier();
+    EXPECT_EQ(p[0], 1);  // every host joins the copyset
+    node.Barrier();
+    if (host == 1) {
+      p[0] = 2;  // invalidates the other three copies
+    }
+    node.Barrier();
+  });
+  const MetricsSnapshot s = (*cluster)->SnapshotMetrics();
+  EXPECT_GT(s.counters.at("host.coalesced_msgs_sent"), 0u);
+  EXPECT_GT(s.counters.at("host.coalesced_records"), 0u);
+  EXPECT_GE(s.counters.at("mgr.invalidation_rounds"), 1u);
 }
 
 }  // namespace

@@ -95,18 +95,18 @@ TEST(Sharded, RequestsSpreadAcrossShards) {
   });
   uint64_t total_served = 0;
   for (uint16_t h = 0; h < kHosts; ++h) {
-    Directory* dir = (*cluster)->node(h).directory();
-    ASSERT_NE(dir, nullptr) << "sharded node " << h << " has no directory shard";
-    const ManagerCounters& mc = dir->counters();
-    EXPECT_GT(mc.requests_served, 0u) << "shard " << h << " serviced nothing";
-    total_served += mc.requests_served;
+    DsmNode& node = (*cluster)->node(h);
+    ASSERT_NE(node.directory(), nullptr) << "sharded node " << h << " has no directory shard";
+    const uint64_t served = node.counter(Metric::kRequestsServed);
+    EXPECT_GT(served, 0u) << "shard " << h << " serviced nothing";
+    total_served += served;
     if (h != kManagerHost) {
-      EXPECT_EQ(mc.remote_routed, 0u) << "only the MPT host routes";
+      EXPECT_EQ(node.counter(Metric::kRemoteRouted), 0u) << "only the MPT host routes";
     }
   }
-  EXPECT_GT((*cluster)->node(kManagerHost).directory()->counters().remote_routed, 0u)
+  EXPECT_GT((*cluster)->node(kManagerHost).counter(Metric::kRemoteRouted), 0u)
       << "host 0 never handed a translated request to another shard";
-  EXPECT_EQ((*cluster)->TotalManagerCounters().requests_served, total_served);
+  EXPECT_EQ((*cluster)->TotalCounter(Metric::kRequestsServed), total_served);
 }
 
 // A lock-protected counter per lock id, with ids hashing to every shard:
@@ -170,9 +170,8 @@ TEST(Sharded, OwningShardServesItsOwnReplica) {
     }
     node.Barrier();
   });
-  Directory* shard1 = (*cluster)->node(1).directory();
-  ASSERT_NE(shard1, nullptr);
-  EXPECT_GT(shard1->counters().requests_served, 0u);
+  ASSERT_NE((*cluster)->node(1).directory(), nullptr);
+  EXPECT_GT((*cluster)->node(1).counter(Metric::kRequestsServed), 0u);
 }
 
 // LRC variant: sharded lock/barrier service under the relaxed protocol.

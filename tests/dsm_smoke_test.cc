@@ -27,8 +27,8 @@ TEST(DsmSmoke, SingleHostAllocateAndWrite) {
     p[0] = 42;  // manager holds the initial writable copy: no fault
     EXPECT_EQ(p[0], 42);
   });
-  EXPECT_EQ((*cluster)->manager().counters().read_faults, 0u);
-  EXPECT_EQ((*cluster)->manager().counters().write_faults, 0u);
+  EXPECT_EQ((*cluster)->manager().counter(Metric::kReadFaults), 0u);
+  EXPECT_EQ((*cluster)->manager().counter(Metric::kWriteFaults), 0u);
 }
 
 TEST(DsmSmoke, TwoHostsReadFault) {
@@ -49,8 +49,8 @@ TEST(DsmSmoke, TwoHostsReadFault) {
     }
     node.Barrier();
   });
-  EXPECT_EQ((*cluster)->node(1).counters().read_faults, 1u);
-  EXPECT_EQ((*cluster)->node(1).counters().read_fault_bytes, 64u);
+  EXPECT_EQ((*cluster)->node(1).counter(Metric::kReadFaults), 1u);
+  EXPECT_EQ((*cluster)->node(1).counter(Metric::kReadFaultBytes), 64u);
 }
 
 TEST(DsmSmoke, WriteInvalidatesReaders) {
@@ -74,7 +74,7 @@ TEST(DsmSmoke, WriteInvalidatesReaders) {
     EXPECT_EQ(*shared, 99);
     node.Barrier();
   });
-  EXPECT_GE((*cluster)->node(2).counters().write_faults, 1u);
+  EXPECT_GE((*cluster)->node(2).counter(Metric::kWriteFaults), 1u);
 }
 
 TEST(DsmSmoke, PingPongCounter) {
@@ -133,8 +133,8 @@ TEST(DsmSmoke, FalseSharingIsAvoided) {
   });
   // After the first write fault each host owns its own minipage: at most a
   // handful of faults, not one per iteration.
-  EXPECT_LE((*cluster)->node(0).counters().write_faults, 3u);
-  EXPECT_LE((*cluster)->node(1).counters().write_faults, 3u);
+  EXPECT_LE((*cluster)->node(0).counter(Metric::kWriteFaults), 3u);
+  EXPECT_LE((*cluster)->node(1).counter(Metric::kWriteFaults), 3u);
 }
 
 }  // namespace

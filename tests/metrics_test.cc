@@ -1,17 +1,18 @@
-// Unit tests for the metrics substrate: counters, histograms (quantiles on
-// known distributions), scoped timers, registries, snapshot merging, the
-// JSON emitter, and the disabled mode's zero-side-effect guarantee.
+// Unit tests for the metrics substrate: the catalog, counters, histograms
+// (quantiles on known distributions), scoped timers, registries, snapshot
+// merging, the JSON emitter, and what the disabled mode gates.
 
 #include "src/common/metrics.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "src/common/stats.h"
+#include "src/dsm/cluster.h"
 
 namespace millipage {
 namespace {
@@ -31,37 +32,6 @@ TEST_F(MetricsTest, CounterCountsAndResets) {
   EXPECT_EQ(c.value(), 42u);
   c.Reset();
   EXPECT_EQ(c.value(), 0u);
-}
-
-TEST_F(MetricsTest, RelaxedCounterBehavesLikeUint64) {
-  RelaxedCounter c;
-  c = 5;
-  c += 10;
-  c++;
-  ++c;
-  c -= 2;
-  EXPECT_EQ(uint64_t{c}, 15u);
-  RelaxedCounter copy = c;  // copies are relaxed-load snapshots
-  c += 100;
-  EXPECT_EQ(copy.value(), 15u);
-  EXPECT_EQ(c.value(), 115u);
-}
-
-TEST_F(MetricsTest, HostCountersArithmeticStaysIntact) {
-  // The counter blocks went atomic; the epoch-delta arithmetic the cost
-  // model depends on must be unchanged.
-  HostCounters a;
-  a.read_faults = 7;
-  a.bytes_sent = 100;
-  HostCounters b;
-  b.read_faults = 3;
-  b.bytes_sent = 40;
-  a += b;
-  EXPECT_EQ(a.read_faults, 10u);
-  EXPECT_EQ(a.bytes_sent, 140u);
-  const HostCounters d = a - b;
-  EXPECT_EQ(d.read_faults, 7u);
-  EXPECT_EQ(d.bytes_sent, 100u);
 }
 
 TEST_F(MetricsTest, HistogramStatsOnKnownDistribution) {
@@ -133,16 +103,21 @@ TEST_F(MetricsTest, ScopedTimerRecordsElapsed) {
   EXPECT_GT(s.sum, 0u);
 }
 
-TEST_F(MetricsTest, DisabledModeHasZeroSideEffects) {
+TEST_F(MetricsTest, DisabledModeCountsButDoesNotTime) {
+  // The cost model prices counters whatever the switch says; only the
+  // histograms and the timers' clock reads are gated.
   Counter c;
+  MetricsRegistry reg;
   Histogram h;
   SetMetricsEnabled(false);
   c.Inc();
   c.Inc(100);
+  reg.Inc(Metric::kReadFaults, 2);
   h.Record(42);
   { ScopedTimer t(&h); }
   SetMetricsEnabled(true);
-  EXPECT_EQ(c.value(), 0u);
+  EXPECT_EQ(c.value(), 101u);
+  EXPECT_EQ(reg.value(Metric::kReadFaults), 2u);
   const HistogramSnapshot s = h.Snapshot();
   EXPECT_EQ(s.count, 0u);
   EXPECT_EQ(s.sum, 0u);
@@ -151,43 +126,72 @@ TEST_F(MetricsTest, DisabledModeHasZeroSideEffects) {
   EXPECT_EQ(s.Quantile(0.99), 0u);
 }
 
-TEST_F(MetricsTest, RegistryReturnsStablePointers) {
+TEST_F(MetricsTest, RegistryIsIndexedByCatalogEntry) {
   MetricsRegistry reg;
-  Counter* c1 = reg.GetCounter("x.count");
-  Counter* c2 = reg.GetCounter("x.count");
-  EXPECT_EQ(c1, c2);
-  Histogram* h1 = reg.GetHistogram("x.lat_ns");
-  EXPECT_EQ(h1, reg.GetHistogram("x.lat_ns"));
-  c1->Inc(3);
-  h1->Record(100);
+  reg.Inc(Metric::kReadFaults, 3);
+  reg.Inc(Metric::kReadFaults);
+  reg.histogram(Hist::kReadFaultNs).Record(100);
+  EXPECT_EQ(reg.value(Metric::kReadFaults), 4u);
   const MetricsSnapshot s = reg.Snapshot();
-  EXPECT_EQ(s.counters.at("x.count"), 3u);
-  EXPECT_EQ(s.histograms.at("x.lat_ns").count, 1u);
+  EXPECT_EQ(s.counters.at("host.read_faults"), 4u);
+  EXPECT_EQ(s.histograms.at("dsm.read_fault_ns").count, 1u);
+  // Every entry is listed, untouched ones at zero.
+  EXPECT_EQ(s.counters.size(), kNumCounters);
+  EXPECT_EQ(s.histograms.size(), kNumHistograms);
+  EXPECT_EQ(s.counters.at("host.write_faults"), 0u);
+  // Counter readouts subtract entry by entry (the epoch-delta arithmetic).
+  const CounterValues before = reg.Counters();
+  reg.Inc(Metric::kWriteFaults, 5);
+  const CounterValues d = reg.Counters() - before;
+  EXPECT_EQ(d[Metric::kWriteFaults], 5u);
+  EXPECT_EQ(d[Metric::kReadFaults], 0u);
   reg.Reset();
-  EXPECT_EQ(c1->value(), 0u);  // pointer still valid, value zeroed
-  EXPECT_EQ(reg.Snapshot().counters.at("x.count"), 0u);
+  EXPECT_EQ(reg.value(Metric::kReadFaults), 0u);
+  EXPECT_EQ(reg.Snapshot().histograms.at("dsm.read_fault_ns").count, 0u);
+}
+
+TEST_F(MetricsTest, CatalogNamesAreUniqueAndAllSnapshotted) {
+  std::set<std::string> names;
+  for (const char* name : kCounterNames) {
+    EXPECT_TRUE(names.insert(name).second) << "duplicate catalog name " << name;
+  }
+  for (const char* name : kHistogramNames) {
+    EXPECT_TRUE(names.insert(name).second) << "duplicate catalog name " << name;
+  }
+  DsmConfig cfg;
+  cfg.num_hosts = 2;
+  cfg.object_size = 1 << 20;
+  cfg.num_views = 4;
+  auto cluster = DsmCluster::Create(cfg);
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+  const MetricsSnapshot s = (*cluster)->SnapshotMetrics();
+  for (const char* name : kCounterNames) {
+    EXPECT_EQ(s.counters.count(name), 1u) << name << " missing from the snapshot";
+  }
+  for (const char* name : kHistogramNames) {
+    EXPECT_EQ(s.histograms.count(name), 1u) << name << " missing from the snapshot";
+  }
 }
 
 TEST_F(MetricsTest, ConcurrentUpdatesAreNotLost) {
   MetricsRegistry reg;
-  Counter* c = reg.GetCounter("c");
-  Histogram* h = reg.GetHistogram("h");
+  Histogram& h = reg.histogram(Hist::kNetSendBytes);
   constexpr int kThreads = 4;
   constexpr int kPerThread = 10000;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
       for (int i = 0; i < kPerThread; ++i) {
-        c->Inc();
-        h->Record(64);
+        reg.Inc(Metric::kNetMsgsSent);
+        h.Record(64);
       }
     });
   }
   for (auto& t : threads) {
     t.join();
   }
-  EXPECT_EQ(c->value(), uint64_t{kThreads} * kPerThread);
-  EXPECT_EQ(h->Snapshot().count, uint64_t{kThreads} * kPerThread);
+  EXPECT_EQ(reg.value(Metric::kNetMsgsSent), uint64_t{kThreads} * kPerThread);
+  EXPECT_EQ(h.Snapshot().count, uint64_t{kThreads} * kPerThread);
 }
 
 TEST_F(MetricsTest, SnapshotMergeAcrossRegistries) {
@@ -195,28 +199,28 @@ TEST_F(MetricsTest, SnapshotMergeAcrossRegistries) {
   // one flat snapshot.
   MetricsRegistry node_a;
   MetricsRegistry node_b;
-  node_a.GetCounter("dsm.faults")->Inc(2);
-  node_b.GetCounter("dsm.faults")->Inc(5);
-  node_b.GetCounter("dsm.retries")->Inc(1);
-  node_a.GetHistogram("dsm.lat_ns")->Record(100);
-  node_b.GetHistogram("dsm.lat_ns")->Record(1000);
+  node_a.Inc(Metric::kReadFaults, 2);
+  node_b.Inc(Metric::kReadFaults, 5);
+  node_b.Inc(Metric::kFaultRetries);
+  node_a.histogram(Hist::kReadFaultNs).Record(100);
+  node_b.histogram(Hist::kReadFaultNs).Record(1000);
   MetricsSnapshot total = node_a.Snapshot();
   total.Merge(node_b.Snapshot());
-  EXPECT_EQ(total.counters.at("dsm.faults"), 7u);
-  EXPECT_EQ(total.counters.at("dsm.retries"), 1u);
-  EXPECT_EQ(total.histograms.at("dsm.lat_ns").count, 2u);
-  EXPECT_EQ(total.histograms.at("dsm.lat_ns").min, 100u);
-  EXPECT_EQ(total.histograms.at("dsm.lat_ns").max, 1000u);
+  EXPECT_EQ(total.counters.at("host.read_faults"), 7u);
+  EXPECT_EQ(total.counters.at("dsm.fault_retries"), 1u);
+  EXPECT_EQ(total.histograms.at("dsm.read_fault_ns").count, 2u);
+  EXPECT_EQ(total.histograms.at("dsm.read_fault_ns").min, 100u);
+  EXPECT_EQ(total.histograms.at("dsm.read_fault_ns").max, 1000u);
 }
 
 TEST_F(MetricsTest, DumpJsonShape) {
   MetricsRegistry reg;
-  reg.GetCounter("a.count")->Inc(3);
-  reg.GetHistogram("a.lat_ns")->Record(250);
+  reg.Inc(Metric::kBarriers, 3);
+  reg.histogram(Hist::kBarrierNs).Record(250);
   const std::string json = reg.Snapshot().DumpJson();
   EXPECT_EQ(json.find("{\"counters\":{"), 0u);
-  EXPECT_NE(json.find("\"a.count\":3"), std::string::npos);
-  EXPECT_NE(json.find("\"a.lat_ns\":{\"count\":1,\"sum\":250"), std::string::npos);
+  EXPECT_NE(json.find("\"host.barriers\":3"), std::string::npos);
+  EXPECT_NE(json.find("\"dsm.barrier_ns\":{\"count\":1,\"sum\":250"), std::string::npos);
   EXPECT_NE(json.find("\"p99\":"), std::string::npos);
   EXPECT_EQ(json.back(), '}');
   // Balanced braces (cheap well-formedness check; CI parses it for real).

@@ -45,9 +45,9 @@ AppTimingInput TwoHostInput() {
       EpochRecord r;
       r.epoch = epoch;
       r.host = host;
-      r.delta.work_units = 1000;
-      r.delta.read_faults = host == 1 ? 2 : 0;
-      r.delta.read_fault_bytes = host == 1 ? 256 : 0;
+      r.delta[Metric::kWorkUnits] = 1000;
+      r.delta[Metric::kReadFaults] = host == 1 ? 2 : 0;
+      r.delta[Metric::kReadFaultBytes] = host == 1 ? 256 : 0;
       in.epochs.push_back(r);
     }
   }
@@ -76,7 +76,7 @@ TEST(ModelRunTest, SpeedupOfBalancedComputeApproachesHostCount) {
   serial.ns_per_work_unit = 1000.0;
   serial.num_hosts = 1;
   EpochRecord r;
-  r.delta.work_units = 800000;
+  r.delta[Metric::kWorkUnits] = 800000;
   serial.epochs.push_back(r);
   const ModeledRun s = ModelRun(m, serial);
 
@@ -87,9 +87,9 @@ TEST(ModelRunTest, SpeedupOfBalancedComputeApproachesHostCount) {
   for (uint32_t h = 0; h < 8; ++h) {
     EpochRecord e;
     e.host = h;
-    e.delta.work_units = 100000;
-    e.delta.read_faults = 4;
-    e.delta.read_fault_bytes = 4 * 256;
+    e.delta[Metric::kWorkUnits] = 100000;
+    e.delta[Metric::kReadFaults] = 4;
+    e.delta[Metric::kReadFaultBytes] = 4 * 256;
     par.epochs.push_back(e);
   }
   const ModeledRun p = ModelRun(m, par);
@@ -107,9 +107,9 @@ TEST(ModelRunTest, FaultBoundAppBenefitsFromFastService) {
   for (uint32_t h = 0; h < 4; ++h) {
     EpochRecord e;
     e.host = h;
-    e.delta.work_units = 1000;
-    e.delta.read_faults = 100;
-    e.delta.read_fault_bytes = 100 * 128;
+    e.delta[Metric::kWorkUnits] = 1000;
+    e.delta[Metric::kReadFaults] = 100;
+    e.delta[Metric::kReadFaultBytes] = 100 * 128;
     in.epochs.push_back(e);
   }
   const CostModel slow;
@@ -127,11 +127,11 @@ TEST(ModelRunTest, CompetingRequestsPricedAsQueueing) {
     for (uint32_t h = 0; h < 2; ++h) {
       EpochRecord r;
       r.host = h;
-      r.delta.work_units = 1000;
-      r.delta.read_faults = 10;
-      r.delta.read_fault_bytes = 10 * 256;
+      r.delta[Metric::kWorkUnits] = 1000;
+      r.delta[Metric::kReadFaults] = 10;
+      r.delta[Metric::kReadFaultBytes] = 10 * 256;
       if (h == 0) {
-        r.delta.competing_requests = competing;
+        r.delta[Metric::kCompetingRequests] = competing;
       }
       in.epochs.push_back(r);
     }
@@ -151,9 +151,9 @@ TEST(ModelRunTest, SkipEpochsExcludesColdStart) {
   for (uint32_t e = 0; e < 3; ++e) {
     EpochRecord r;
     r.epoch = e;
-    r.delta.work_units = 100;
-    r.delta.read_faults = e == 0 ? 1000 : 0;  // huge distribution epoch
-    r.delta.read_fault_bytes = e == 0 ? 1000 * 256 : 0;
+    r.delta[Metric::kWorkUnits] = 100;
+    r.delta[Metric::kReadFaults] = e == 0 ? 1000 : 0;  // huge distribution epoch
+    r.delta[Metric::kReadFaultBytes] = e == 0 ? 1000 * 256 : 0;
     in.epochs.push_back(r);
   }
   const CostModel m;

@@ -106,7 +106,7 @@ TEST(Recovery, PeerDeathBumpsEpochAndSurvivorsStayLive) {
   ASSERT_TRUE(trio.AwaitEpoch(1, 1)) << "host 1 never bumped";
   for (const HostId h : {HostId{0}, HostId{1}}) {
     EXPECT_EQ(trio.node(h).dead_mask(), 0b100u) << "host " << h;
-    EXPECT_GE(trio.node(h).epoch_bumps(), 1u) << "host " << h;
+    EXPECT_GE(trio.node(h).counter(Metric::kEpochBumps), 1u) << "host " << h;
     // Recovery, not the sticky abort: the node is still fully operational.
     EXPECT_TRUE(trio.node(h).health().ok()) << trio.node(h).health().ToString();
   }
@@ -160,7 +160,7 @@ TEST(Recovery, AdoptedShardRebuildsAndServesDeadShardsMinipage) {
   for (int i = 0; i < 16; ++i) {
     ASSERT_EQ(data2[i], 9100 + i) << "index " << i;
   }
-  EXPECT_GE(n0.shards_adopted() + n2.shards_adopted(), 1u)
+  EXPECT_GE(n0.counter(Metric::kShardsAdopted) + n2.counter(Metric::kShardsAdopted), 1u)
       << "no survivor recorded adopting the dead shard's id";
 }
 
@@ -190,7 +190,7 @@ TEST(Recovery, SoleCopyLossIsPerMinipageNotFound) {
   ASSERT_TRUE(trio.AwaitEpoch(1, 1));
 
   // The shard declared the minipage lost during copyset repair...
-  EXPECT_GE(n1.minipages_lost(), 1u);
+  EXPECT_GE(n1.counter(Metric::kMinipagesLost), 1u);
   // ...and a survivor touching it gets a per-access error, not a hang or a
   // cluster abort.
   const Status lost = n0.FaultService(b->view, b->offset, /*is_write=*/false);

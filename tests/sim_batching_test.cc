@@ -111,8 +111,8 @@ void SweepEquivalence(ManagerPolicy policy) {
     if (::testing::Test::HasFatalFailure()) {
       return;
     }
-    EXPECT_EQ(b.batch_frames, 0u) << "unbatched run sent a batched frame";
-    batched_frames += a.batch_frames;
+    EXPECT_EQ(b.counters[Metric::kBatchFramesSent], 0u) << "unbatched run sent a batched frame";
+    batched_frames += a.counters[Metric::kBatchFramesSent];
     const std::vector<std::string> pa = AppProjection(a, w.hosts);
     const std::vector<std::string> pb = AppProjection(b, w.hosts);
     for (uint16_t h = 0; h < w.hosts; ++h) {
@@ -175,7 +175,7 @@ void SweepGenerated(uint16_t hosts, ManagerPolicy policy, uint64_t first_seed,
     if (::testing::Test::HasFatalFailure()) {
       return;
     }
-    batched_frames += r.batch_frames;
+    batched_frames += r.counters[Metric::kBatchFramesSent];
   }
   if (expect_frames) {
     EXPECT_GT(batched_frames, 0u) << "no schedule ever coalesced a frame";

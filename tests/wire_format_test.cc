@@ -79,17 +79,16 @@ TEST(WireFormat, GoldenBytesSmallClusterEncoding) {
   }
 }
 
-// The v0 codec and the legacy free functions are the same encoding.
-TEST(WireFormat, LegacyHelpersMatchV0Codec) {
+// The v0 codec is the 6-bit host / 10-bit epoch split the named wire
+// constants describe, and it round-trips.
+TEST(WireFormat, V0CodecMatchesWireConstants) {
   const WireCodec codec = WireCodec::For(64);
   for (uint32_t host = 0; host < 64; host += 7) {
     for (uint32_t epoch : {0u, 1u, 63u, 64u, 1023u, 5000u}) {
-      const uint16_t packed = PackFromEpoch(static_cast<HostId>(host), epoch);
-      EXPECT_EQ(packed, codec.Pack(static_cast<HostId>(host), epoch));
-      EXPECT_EQ(FromHost(packed), host);
-      EXPECT_EQ(FromEpochTag(packed), epoch & kEpochTagMask);
+      const uint16_t packed = codec.Pack(static_cast<HostId>(host), epoch);
+      EXPECT_EQ(packed, (host & kHostIdMask) | ((epoch & kEpochTagMask) << kEpochTagShift));
       EXPECT_EQ(codec.Host(packed), host);
-      EXPECT_EQ(codec.EpochTag(packed), epoch & codec.epoch_mask);
+      EXPECT_EQ(codec.EpochTag(packed), epoch & kEpochTagMask);
     }
   }
 }
