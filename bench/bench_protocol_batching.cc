@@ -12,9 +12,10 @@
 // host count on purpose: array a is written by host a/hosts but served by
 // shard a mod hosts, so at write step k every writer is in a round at shard
 // k mod hosts — the full writer population stacks at one shard at a time,
-// the burst depth the linger window (DsmConfig::batch_linger_us) exists to
-// fold. (A worker blocks inside each fault, so one writer alone can never
-// put two rounds in the air; depth comes only from distinct writers.)
+// so records queued while the shard works through the burst fold into one
+// frame at the next mailbox drain. (A worker blocks inside each fault, so one
+// writer alone can never put two rounds in the air; depth comes only from
+// distinct writers.)
 //
 // Reported per (policy, batching) cell: wall time, write-segment datagrams
 // and bytes per write op (one host's write of one array — i.e., one

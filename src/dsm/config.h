@@ -37,7 +37,6 @@ inline constexpr uint32_t kBarrierShardId = 0xfffffffeu;
 // only looks at the network every `period_us`.
 enum class ServiceMode {
   kBlocking,  // block on the transport with a short timeout (default)
-  kBusyPoll,  // spin on non-blocking polls
   kPeriodic,  // poll, then sleep period_us (models coarse timers)
 };
 
@@ -87,23 +86,13 @@ struct DsmConfig {
   // Coalesce coherence traffic (invalidations, invalidate replies, post-
   // service ACKs, group-fetch requests) into batched frames: one datagram
   // carries up to kMaxBatchRecords per-minipage records for the same
-  // destination (see BatchRecord in src/net/message.h). Off reproduces the
-  // one-datagram-per-minipage paper protocol exactly; single-record batches
-  // are emitted unbatched either way, so the wire format only changes when
-  // a frame actually carries more than one record.
+  // destination (see BatchRecord in src/net/message.h). Batches flush as
+  // soon as nothing else can be delivered, so a frame folds only records
+  // that were already queued together — no timer ever holds one back. Off
+  // reproduces the one-datagram-per-minipage paper protocol exactly;
+  // single-record batches are emitted unbatched either way, so the wire
+  // format only changes when a frame actually carries more than one record.
   bool batch_coherence = true;
-
-  // Coalescer linger (threaded mode only): when the mailbox drains, a batch
-  // younger than this that holds fewer than batch_linger_min_records keeps
-  // accumulating instead of flushing — per-shard bursts otherwise drain one
-  // or two records at a time and never stack. Bounded: the server flushes
-  // any batch at its deadline even with no further traffic, so the worst
-  // case is one linger of added latency on a round's last record. 0 restores
-  // flush-on-every-drain. The deterministic sim ignores the linger (its
-  // kFlushHint flushes are forced), so checker-verified results are
-  // unchanged by construction.
-  uint64_t batch_linger_us = 100;
-  uint32_t batch_linger_min_records = 8;
 
   // Mesh transport backend for the multi-process mode
   // (src/net/transport_factory.h). kUring drives the same SEQPACKET mesh
@@ -126,8 +115,6 @@ struct DsmConfig {
   // requests re-routed by the manager and in-flight fetches poisoned by
   // crossing invalidations and retried. Ablation knob; default on.
   bool enable_ack = true;
-
-  uint32_t max_app_threads_per_host = 8;
 
   // ---- Liveness / failure-detection policy -------------------------------
   // The paper assumes FastMessages never loses a message and no host dies;
@@ -152,19 +139,12 @@ struct DsmConfig {
   // uniform jitter of ±retry_jitter_pct percent so a cluster of hosts that
   // timed out together does not re-fire in lockstep against the same
   // recovering shard. base = 1.0 with jitter 0 reproduces the historical
-  // fixed-interval policy. The jitter stream is seeded from
-  // retry_jitter_seed ^ host id, so a run's retry schedule is reproducible.
+  // fixed-interval policy. The jitter stream is seeded from a fixed constant
+  // (DsmNode::kRetryJitterSeed) ^ host id, so a run's retry schedule is
+  // reproducible.
   double retry_backoff_base = 2.0;
   uint64_t retry_backoff_max_ms = 30000;
   uint32_t retry_jitter_pct = 20;
-  uint64_t retry_jitter_seed = 0x9e3779b97f4a7c15ULL;
-
-  // ---- Membership / recovery policy --------------------------------------
-  // When true (and the directory is sharded), a peer-down verdict on a
-  // non-zero host is answered with recovery — membership epoch bump, shard
-  // failover, copyset repair — instead of the sticky whole-cluster abort.
-  // Host 0's death is always unrecoverable: it owns the MPT and allocator.
-  bool recover_on_host_death = true;
 
   // History recorder (src/common/trace.h). When non-null, the node and its
   // ViewSet append protocol events to this sink for the offline checker.

@@ -137,7 +137,10 @@ Status DsmNode::TrySendMsg(HostId to, const MsgHeader& h, const void* payload, s
 }
 
 void DsmNode::SendMsg(HostId to, const MsgHeader& h, const void* payload, size_t len) {
-  const Status st = TrySendMsg(to, h, payload, len);
+  LogSendFailure(to, h, TrySendMsg(to, h, payload, len));
+}
+
+void DsmNode::LogSendFailure(HostId to, const MsgHeader& h, const Status& st) {
   if (!st.ok() && !draining_.load(std::memory_order_acquire)) {
     MP_LOG(Error) << "host " << me_ << ": send " << MsgTypeName(h.msg_type()) << " to host "
                   << to << " failed: " << st.ToString();
@@ -369,28 +372,13 @@ size_t DsmNode::FetchGroup(const GlobalAddr* addrs, size_t count) {
   }
   // Issue the whole group. With batching on, frames of up to kMaxBatchRecords
   // untranslated requests share one datagram (all bound for the MPT host, all
-  // carrying the same slot/generation); a single request goes out unbatched,
-  // bit-identical to the historical wire format.
+  // carrying the same slot/generation).
   size_t issued = 0;
   while (issued < reqs.size()) {
     const size_t n = config_.batch_coherence
                          ? std::min<size_t>(reqs.size() - issued, kMaxBatchRecords)
                          : 1;
-    Status st;
-    if (n == 1) {
-      st = TrySendMsg(kManagerHost, reqs[issued]);
-    } else {
-      std::vector<BatchRecord> recs;
-      recs.reserve(n);
-      for (size_t i = 0; i < n; ++i) {
-        recs.push_back(BatchRecord::From(reqs[issued + i]));
-      }
-      MsgHeader frame = reqs[issued];
-      frame.flags |= kFlagBatched;
-      metrics_.Inc(Metric::kBatchFramesSent);
-      metrics_.Inc(Metric::kBatchRecordsSent, n);
-      st = TrySendMsg(kManagerHost, frame, recs.data(), recs.size() * sizeof(BatchRecord));
-    }
+    const Status st = SendFrame(kManagerHost, &reqs[issued], n);
     if (!st.ok()) {
       (void)LivenessFailure("FetchGroup", st);
       break;
@@ -409,24 +397,10 @@ size_t DsmNode::FetchGroup(const GlobalAddr* addrs, size_t count) {
   std::vector<std::pair<HostId, std::vector<MsgHeader>>> acks;
   const auto flush_acks = [&] {
     for (auto& [to, items] : acks) {
-      if (items.empty()) {
-        continue;
+      if (!items.empty()) {
+        LogSendFailure(to, items[0], SendFrame(to, items.data(), items.size()));
+        items.clear();
       }
-      if (items.size() == 1) {
-        SendMsg(to, items[0]);
-      } else {
-        std::vector<BatchRecord> recs;
-        recs.reserve(items.size());
-        for (const MsgHeader& m : items) {
-          recs.push_back(BatchRecord::From(m));
-        }
-        MsgHeader frame = items[0];
-        frame.flags |= kFlagBatched;
-        metrics_.Inc(Metric::kBatchFramesSent);
-        metrics_.Inc(Metric::kBatchRecordsSent, items.size());
-        SendMsg(to, frame, recs.data(), recs.size() * sizeof(BatchRecord));
-      }
-      items.clear();
     }
   };
   size_t collected = 0;
@@ -606,7 +580,7 @@ uint64_t DsmNode::RetryTimeoutMs(const DsmConfig& cfg, HostId host, uint32_t att
     // A fresh, deterministically seeded stream per (host, attempt): the
     // schedule is reproducible yet decorrelated across hosts, so a cluster
     // that timed out together does not re-fire in lockstep.
-    Rng rng(cfg.retry_jitter_seed ^ (static_cast<uint64_t>(host) << 32) ^ attempt);
+    Rng rng(kRetryJitterSeed ^ (static_cast<uint64_t>(host) << 32) ^ attempt);
     const uint64_t span = ms * cfg.retry_jitter_pct / 100;
     if (span > 0) {
       ms = ms - span + rng.Below(2 * span + 1);
@@ -667,30 +641,14 @@ void DsmNode::ServerLoop() {
     // thread, so the detector (any thread) only posts a pending mask.
     ProcessPendingDeaths();
     MsgHeader h;
-    uint64_t timeout_us = 0;
-    switch (config_.service_mode) {
-      case ServiceMode::kBlocking:
-        timeout_us = 2000;
-        break;
-      case ServiceMode::kBusyPoll:
-      case ServiceMode::kPeriodic:
-        timeout_us = 0;
-        break;
-    }
-    if (HasOpenBatch()) {
-      // A batch is open: cap the wait at the earliest open batch's linger
-      // deadline, so coalescing collects bursts without ever holding a
-      // record past batch_linger_us (0 — a ripe batch — restores the old
-      // drain-and-flush). This must test for queued records, not
-      // coalesce_.empty(): flushed batches keep their (to, type) slot in
-      // the vector for reuse, and polling with no timeout on an *idle* node
-      // would turn the server into a busy-spinner and starve every other
-      // thread on the box.
-      const uint64_t delay_us = NextFlushDelayUs(MonotonicNowNs());
-      if (delay_us < timeout_us) {
-        timeout_us = delay_us;
-      }
-    }
+    // While a batch is open, poll without blocking so the flush below runs
+    // the moment the mailbox drains. This must test for queued records, not
+    // coalesce_.empty(): flushed batches keep their (to, type) slot in the
+    // vector for reuse, and polling with no timeout on an *idle* node would
+    // turn the server into a busy-spinner and starve every other thread on
+    // the box.
+    const uint64_t timeout_us =
+        config_.service_mode == ServiceMode::kBlocking && !HasOpenBatch() ? 2000 : 0;
     Result<bool> got = transport_->Poll(me_, &h, sink, timeout_us);
     if (!got.ok()) {
       // A transient receive error (e.g. a reset from a dying peer) must not
@@ -712,12 +670,9 @@ void DsmNode::ServerLoop() {
       HandleMessage(h);
       continue;
     }
-    // Mailbox drained: release the batches past the linger policy. Young,
-    // small batches keep accumulating — per-shard bursts otherwise flush one
-    // or two records at a time and never stack — bounded by the poll-timeout
-    // cap above, so the worst case is batch_linger_us of added latency on a
-    // round's final record.
-    FlushRipeCoalesced(MonotonicNowNs());
+    // Mailbox drained: nothing else can be delivered, so every open batch
+    // goes out now — the same flush point the simulator's kFlushHint marks.
+    FlushCoalesced();
     if (config_.service_mode == ServiceMode::kPeriodic) {
       ::usleep(static_cast<useconds_t>(config_.service_period_us));
     }
@@ -969,17 +924,11 @@ void DsmNode::SendCoalesced(HostId to, const MsgHeader& h) {
     }
   }
   if (batch == nullptr) {
-    coalesce_.push_back(PendingBatch{to, h.msg_type(), 0, {}});
+    coalesce_.push_back(PendingBatch{to, h.msg_type(), {}});
     batch = &coalesce_.back();
   }
   if (batch->items.size() >= kMaxBatchRecords) {
     SendBatch(*batch);
-  }
-  if (batch->items.empty()) {
-    // First record since the last flush: start this batch's linger clock.
-    // (Unused on externally-pumped nodes — their kFlushHint flushes are
-    // forced — so the wall-clock read never influences a simulated run.)
-    batch->opened_ns = MonotonicNowNs();
   }
   batch->items.push_back(h);
   // Externally-pumped node (no server loop): make sure a flush is coming.
@@ -1016,40 +965,6 @@ void DsmNode::FlushCoalesced() {
   transport_->EndBurst();
 }
 
-void DsmNode::FlushRipeCoalesced(uint64_t now_ns) {
-  const uint64_t linger_ns = config_.batch_linger_us * 1000;
-  transport_->BeginBurst();
-  for (PendingBatch& b : coalesce_) {
-    if (b.items.empty()) {
-      continue;
-    }
-    if (linger_ns == 0 || b.items.size() >= config_.batch_linger_min_records ||
-        now_ns - b.opened_ns >= linger_ns) {
-      SendBatch(b);
-    }
-  }
-  transport_->EndBurst();
-}
-
-uint64_t DsmNode::NextFlushDelayUs(uint64_t now_ns) const {
-  const uint64_t linger_ns = config_.batch_linger_us * 1000;
-  uint64_t best_ns = ~0ull;
-  for (const PendingBatch& b : coalesce_) {
-    if (b.items.empty()) {
-      continue;
-    }
-    if (linger_ns == 0 || b.items.size() >= config_.batch_linger_min_records) {
-      return 0;  // already ripe: drain without blocking, flush immediately
-    }
-    const uint64_t age = now_ns - b.opened_ns;
-    if (age >= linger_ns) {
-      return 0;
-    }
-    best_ns = std::min(best_ns, linger_ns - age);
-  }
-  return best_ns == ~0ull ? 0 : (best_ns + 999) / 1000;
-}
-
 void DsmNode::SendBatch(PendingBatch& b) {
   if (b.items.empty()) {
     return;
@@ -1060,26 +975,27 @@ void DsmNode::SendBatch(PendingBatch& b) {
     b.items.clear();
     return;
   }
-  if (b.items.size() == 1) {
+  metrics_.Inc(Metric::kCoalescedMsgsSent);
+  LogSendFailure(b.to, b.items[0], SendFrame(b.to, b.items.data(), b.items.size()));
+  b.items.clear();
+}
+
+Status DsmNode::SendFrame(HostId to, const MsgHeader* items, size_t n) {
+  if (n == 1) {
     // Single record: send the plain header, bit-identical to an unbatched
     // protocol run (the v0 golden-bytes contract).
-    metrics_.Inc(Metric::kCoalescedMsgsSent);
-    SendMsg(b.to, b.items[0]);
-    b.items.clear();
-    return;
+    return TrySendMsg(to, items[0]);
   }
   std::vector<BatchRecord> recs;
-  recs.reserve(b.items.size());
-  for (const MsgHeader& m : b.items) {
-    recs.push_back(BatchRecord::From(m));
+  recs.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    recs.push_back(BatchRecord::From(items[i]));
   }
-  MsgHeader frame = b.items[0];
+  MsgHeader frame = items[0];
   frame.flags |= kFlagBatched;
   metrics_.Inc(Metric::kBatchFramesSent);
-  metrics_.Inc(Metric::kBatchRecordsSent, recs.size());
-  metrics_.Inc(Metric::kCoalescedMsgsSent);
-  SendMsg(b.to, frame, recs.data(), recs.size() * sizeof(BatchRecord));
-  b.items.clear();
+  metrics_.Inc(Metric::kBatchRecordsSent, n);
+  return TrySendMsg(to, frame, recs.data(), recs.size() * sizeof(BatchRecord));
 }
 
 // ---- Manager role ----------------------------------------------------------

@@ -173,12 +173,9 @@ class DsmNode {
   uint64_t dead_mask() const { return dead_set().LowWord(); }
   uint64_t live_mask() const { return live_set().LowWord(); }
   // True when a peer death is answered with epoch-bump recovery instead of
-  // the sticky whole-cluster abort: sharded directory, recovery enabled. A
-  // dead host 0 is always unrecoverable (it owns the MPT and allocator).
-  bool RecoveryEnabled() const {
-    return config_.recover_on_host_death &&
-           config_.manager_policy == ManagerPolicy::kSharded;
-  }
+  // the sticky whole-cluster abort: any sharded directory. A dead host 0 is
+  // always unrecoverable (it owns the MPT and allocator).
+  bool RecoveryEnabled() const { return config_.manager_policy == ManagerPolicy::kSharded; }
   // Marks `peer` for recovery processing (the simulator's injection point;
   // the threaded path arrives through the transport's peer-down callback).
   void InjectPeerDeath(HostId peer) {
@@ -196,10 +193,12 @@ class DsmNode {
 
   // Per-attempt reply deadline for idempotent-fetch attempt `attempt`
   // (0-based): request_timeout_ms * retry_backoff_base^attempt, capped at
-  // retry_backoff_max_ms, with seeded ±retry_jitter_pct% jitter. Pure
-  // function of (cfg, host, attempt) so a run's retry schedule is
-  // reproducible; exposed for tests.
+  // retry_backoff_max_ms, with ±retry_jitter_pct% jitter drawn from a stream
+  // seeded by kRetryJitterSeed ^ host ^ attempt. Pure function of
+  // (cfg, host, attempt) so a run's retry schedule is reproducible; exposed
+  // for tests.
   static uint64_t RetryTimeoutMs(const DsmConfig& cfg, HostId host, uint32_t attempt);
+  static constexpr uint64_t kRetryJitterSeed = 0x9e3779b97f4a7c15ULL;
 
   // True once this host has learned minipage `id` is permanently lost.
   bool IsLost(uint32_t id) const {
@@ -267,18 +266,12 @@ class DsmNode {
   // ---- Coherence-traffic coalescer (server thread only) ------------------
   // Queues `h` for `to` in a per-(destination, type) batch instead of sending
   // immediately; falls back to SendMsg when batching is disabled. Batches
-  // drain via FlushCoalesced() — called whenever the server runs out of
-  // immediately-deliverable messages, so coalescing never delays traffic
-  // behind idle waiting.
+  // drain via FlushCoalesced() — called as soon as nothing else can be
+  // delivered (the server's mailbox drains, or the simulator delivers the
+  // kFlushHint), so coalescing only folds records that were already queued
+  // and never holds one behind idle waiting or a timer.
   void SendCoalesced(HostId to, const MsgHeader& h);
   void FlushCoalesced();
-  // Linger-policy flush (threaded server only): sends the batches that are
-  // ripe — older than batch_linger_us or holding at least
-  // batch_linger_min_records — and leaves young, small ones accumulating.
-  // NextFlushDelayUs bounds the server's poll timeout so a lingering batch
-  // is never left waiting past its deadline.
-  void FlushRipeCoalesced(uint64_t now_ns);
-  uint64_t NextFlushDelayUs(uint64_t now_ns) const;
 
   // Manager role.
   bool MgrTranslate(MsgHeader* h);
@@ -321,6 +314,7 @@ class DsmNode {
   // Server-side send: failures are logged and, for unreachable peers, turned
   // into a peer-down event; the server keeps serving the rest of the mesh.
   void SendMsg(HostId to, const MsgHeader& h, const void* payload = nullptr, size_t len = 0);
+  void LogSendFailure(HostId to, const MsgHeader& h, const Status& st);
   // Application-side send: same handling, but the Status is propagated so
   // the blocking operation can fail instead of waiting for a reply that was
   // never sent.
@@ -479,10 +473,14 @@ class DsmNode {
   struct PendingBatch {
     HostId to = 0;
     MsgType type = MsgType::kAck;
-    uint64_t opened_ns = 0;  // MonotonicNowNs when the first record landed
     std::vector<MsgHeader> items;
   };
   void SendBatch(PendingBatch& b);
+  // The one builder of batched frames: sends `n` (1..kMaxBatchRecords)
+  // records bound for `to` as one datagram. One record goes out as its plain
+  // header, bit-identical to the unbatched protocol; more go out as a
+  // kFlagBatched frame headed by items[0] with a BatchRecord payload.
+  Status SendFrame(HostId to, const MsgHeader* items, size_t n);
   bool HasOpenBatch() const;
   std::vector<PendingBatch> coalesce_;
   // Receive scratch for a batched frame's record payload.

@@ -40,6 +40,9 @@ class Transport {
 
   // Receives at most one message addressed to `me`. Returns true and fills
   // *h if a message was consumed within `timeout_us` (0 = non-blocking).
+  // The wait is only as fine as the backend's clock: SocketTransport rounds
+  // a nonzero `timeout_us` up to whole milliseconds for poll(2), so a
+  // 100 µs wait there blocks for 1 ms.
   virtual Result<bool> Poll(HostId me, MsgHeader* h, const PayloadSink& sink,
                             uint64_t timeout_us) = 0;
 

@@ -172,6 +172,43 @@ TEST(Protocol, FetchGroupBatchesReads) {
   });
 }
 
+TEST(Protocol, FetchGroupSplitsFramesAtMaxBatchRecords) {
+  // A group larger than one frame: the requests and the ACKs each split into
+  // a full kMaxBatchRecords frame plus a frame for the remainder.
+  constexpr size_t kCells = 70;
+  static_assert(kCells > kMaxBatchRecords && kCells - kMaxBatchRecords > 1);
+  DsmConfig cfg = Cfg(2);
+  ASSERT_TRUE(cfg.batch_coherence);
+  auto cluster = DsmCluster::Create(cfg);
+  ASSERT_TRUE(cluster.ok());
+  std::vector<GlobalPtr<int>> cells;
+  (*cluster)->RunOnManager([&](DsmNode&) {
+    for (size_t i = 0; i < kCells; ++i) {
+      cells.push_back(SharedAlloc<int>(8));  // 32 B: one minipage each
+      cells.back()[0] = static_cast<int>(7 * i + 1);
+    }
+  });
+  (*cluster)->RunParallel([&](DsmNode& node, HostId host) {
+    if (host == 1) {
+      std::vector<GlobalAddr> addrs;
+      for (const auto& c : cells) {
+        addrs.push_back(c.addr());
+      }
+      EXPECT_EQ(node.FetchGroup(addrs.data(), addrs.size()), kCells);
+      for (size_t i = 0; i < kCells; ++i) {
+        EXPECT_EQ(cells[i][0], static_cast<int>(7 * i + 1)) << "cell " << i;
+      }
+      EXPECT_EQ(node.counter(Metric::kReadFaults), 0u);
+      // Requests: 64 + 6 records, all bound for host 0. ACKs: the same split
+      // per owning shard — host 0 when centralized; when sharded, the 35 ids
+      // homed on host 0 go as one frame and the 35 on host 1 as another.
+      EXPECT_EQ(node.counter(Metric::kBatchFramesSent), 4u);
+      EXPECT_EQ(node.counter(Metric::kBatchRecordsSent), 2 * kCells);
+    }
+    node.Barrier();
+  });
+}
+
 TEST(Protocol, FetchGroupWithDuplicatesAndWriterInterference) {
   auto cluster = DsmCluster::Create(Cfg(3));
   ASSERT_TRUE(cluster.ok());
@@ -369,14 +406,11 @@ TEST_P(ServiceModes, ProtocolWorksUnderEachServiceDiscipline) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, ServiceModes,
-                         ::testing::Values(ServiceMode::kBlocking, ServiceMode::kBusyPoll,
-                                           ServiceMode::kPeriodic),
+                         ::testing::Values(ServiceMode::kBlocking, ServiceMode::kPeriodic),
                          [](const auto& info) {
                            switch (info.param) {
                              case ServiceMode::kBlocking:
                                return "blocking";
-                             case ServiceMode::kBusyPoll:
-                               return "busypoll";
                              case ServiceMode::kPeriodic:
                                return "periodic";
                            }
