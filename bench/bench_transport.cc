@@ -1,32 +1,25 @@
-// Transport backend comparison: the syscall bill and round-trip latency of
-// the SEQPACKET mesh under the classic socket transport vs the io_uring
-// transport (ROADMAP item 2(c)).
+// Mesh transport costs: the syscall bill and round-trip latency of the
+// SEQPACKET mesh under SocketTransport.
 //
 // Two workloads over a 2-host in-process mesh (one sender thread, one
 // receiver thread, real socketpairs):
 //
 //   * rtt — header-only ping/pong, one message in flight: p50/p99/mean
-//     round-trip. Measures the per-message floor where batching cannot help;
-//     the uring backend should roughly match sockets here.
-//   * burst — the coalescer's shape: BeginBurst + N header-only sends (an
-//     invalidation fan-out round) + EndBurst, acked by the receiver. The
-//     figure of merit is kernel entries per message (net.syscalls delta /
-//     messages): sockets pay one send() each, the uring backend submits the
-//     whole window as one linked chain with a single io_uring_enter.
-//
-// The uring section is skipped (with a note) on kernels without multishot
-// RECVMSG + provided buffer rings.
+//     round-trip. The per-message floor.
+//   * burst — the coalescer's shape: N back-to-back header-only sends (an
+//     invalidation fan-out round), acked by the receiver. The figure of
+//     merit is kernel entries per message (net.syscalls delta / messages):
+//     one send() each, plus the receiver's poll/recv.
 
 #include <atomic>
 #include <cstdio>
-#include <string>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "src/common/metrics.h"
 #include "src/net/socket_transport.h"
-#include "src/net/transport_factory.h"
 
 namespace millipage {
 namespace {
@@ -46,19 +39,15 @@ struct MeshPair {
   std::unique_ptr<Transport> t1;
 };
 
-MeshPair MakePair(TransportBackend backend) {
+MeshPair MakePair() {
   auto mesh = SocketMesh::Create(2);
   MP_CHECK(mesh.ok()) << mesh.status().ToString();
   std::vector<int> row0 = std::move(mesh->fds[0]);
   std::vector<int> row1 = std::move(mesh->fds[1]);
   mesh->fds.clear();
   MeshPair out;
-  MeshTransport m0 = MakeMeshTransport(backend, 0, std::move(row0));
-  MeshTransport m1 = MakeMeshTransport(backend, 1, std::move(row1));
-  MP_CHECK(m0.transport != nullptr && m1.transport != nullptr);
-  MP_CHECK(m0.active == backend && m1.active == backend);
-  out.t0 = std::move(m0.transport);
-  out.t1 = std::move(m1.transport);
+  out.t0 = std::make_unique<SocketTransport>(0, std::move(row0));
+  out.t1 = std::make_unique<SocketTransport>(1, std::move(row1));
   return out;
 }
 
@@ -77,8 +66,8 @@ struct TransportFigures {
   double syscalls_per_msg = 0;  // net.syscalls delta per message, burst phase
 };
 
-TransportFigures RunBackend(TransportBackend backend) {
-  MeshPair mesh = MakePair(backend);
+TransportFigures Run() {
+  MeshPair mesh = MakePair();
   TransportFigures out;
   Histogram rtt_hist;
 
@@ -113,7 +102,7 @@ TransportFigures RunBackend(TransportBackend backend) {
   echo.join();
   out.rtt = rtt_hist.Snapshot();
 
-  // --- burst: batched invalidation-round shape ------------------------------
+  // --- burst: invalidation-round shape --------------------------------------
   const int rounds = g_burst_rounds;
   std::thread drain([&] {
     MsgHeader h;
@@ -135,11 +124,9 @@ TransportFigures RunBackend(TransportBackend backend) {
   const uint64_t syscalls_before = GlobalCounterValue("net.syscalls");
   const uint64_t wall0 = MonotonicNowNs();
   for (int r = 0; r < rounds; ++r) {
-    mesh.t0->BeginBurst();
     for (int m = 0; m < kBurstMsgs; ++m) {
       MP_CHECK(mesh.t0->Send(1, Header(r * kBurstMsgs + m), nullptr, 0).ok());
     }
-    mesh.t0->EndBurst();
     MsgHeader h;
     for (;;) {
       auto polled = mesh.t0->Poll(0, &h, kNoSink, 100000);
@@ -153,27 +140,25 @@ TransportFigures RunBackend(TransportBackend backend) {
   const double total_msgs = static_cast<double>(rounds) * kBurstMsgs;
   out.burst_ns_per_msg = static_cast<double>(MonotonicNowNs() - wall0) / total_msgs;
   // Both endpoints share the process-global counter; the quotient is the
-  // whole mesh's kernel entries per delivered message, comparable across
-  // backends because both phases are measured identically.
+  // whole mesh's kernel entries per delivered message.
   out.syscalls_per_msg =
       static_cast<double>(GlobalCounterValue("net.syscalls") - syscalls_before) / total_msgs;
   return out;
 }
 
-void Report(BenchReporter& reporter, TransportBackend backend) {
-  const TransportFigures f = RunBackend(backend);
-  const char* name = TransportBackendName(backend);
-  std::printf("  %-8s %-6s %8lu %9.1f %9.1f %9.1f %12s\n", name, "rtt",
+void Report(BenchReporter& reporter) {
+  const TransportFigures f = Run();
+  std::printf("  %-8s %-6s %8lu %9.1f %9.1f %9.1f %12s\n", "socket", "rtt",
               static_cast<unsigned long>(f.rtt.count),
               static_cast<double>(f.rtt.Quantile(0.5)) / 1e3,
               static_cast<double>(f.rtt.Quantile(0.99)) / 1e3, f.rtt.mean() / 1e3, "");
-  std::printf("  %-8s %-6s %8d %9s %9s %9.1f %12.2f\n", name, "burst",
+  std::printf("  %-8s %-6s %8d %9s %9s %9.1f %12.2f\n", "socket", "burst",
               g_burst_rounds * kBurstMsgs, "", "", f.burst_ns_per_msg / 1e3,
               f.syscalls_per_msg);
 
   BenchResult rtt_row;
   rtt_row.name = "transport";
-  rtt_row.params = std::string("backend=") + name + " kind=rtt";
+  rtt_row.params = "backend=socket kind=rtt";
   rtt_row.iterations = f.rtt.count;
   rtt_row.ns_per_op = f.rtt.mean();
   rtt_row.values["p50_ns"] = static_cast<double>(f.rtt.Quantile(0.5));
@@ -182,7 +167,7 @@ void Report(BenchReporter& reporter, TransportBackend backend) {
 
   BenchResult burst_row;
   burst_row.name = "transport";
-  burst_row.params = std::string("backend=") + name + " kind=burst";
+  burst_row.params = "backend=socket kind=burst";
   burst_row.iterations = static_cast<uint64_t>(g_burst_rounds) * kBurstMsgs;
   burst_row.ns_per_op = f.burst_ns_per_msg;
   burst_row.values["syscalls_per_msg"] = f.syscalls_per_msg;
@@ -199,15 +184,10 @@ int main(int argc, char** argv) {
   g_rtt_iters = env.Scaled(2000, 100);
   g_burst_rounds = env.Scaled(200, 10);
   setvbuf(stdout, nullptr, _IONBF, 0);
-  PrintHeader("Transport backends: round-trip + syscalls per message");
+  PrintHeader("Mesh transport: round-trip + syscalls per message");
   std::printf("  %-8s %-6s %8s %9s %9s %9s %12s\n", "backend", "kind", "msgs", "p50 us",
               "p99 us", "mean us", "syscalls/msg");
-  Report(reporter, TransportBackend::kSocket);
-  if (UringTransportSupported()) {
-    Report(reporter, TransportBackend::kUring);
-  } else {
-    std::printf("  uring: kernel lacks multishot recvmsg/buffer rings; section skipped\n");
-  }
+  Report(reporter);
   reporter.Finish();
   return 0;
 }

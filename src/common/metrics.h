@@ -72,11 +72,9 @@ namespace millipage {
   C(kProtSets, "mv.prot_sets", "ranged protection calls (syscalls)")                           \
   C(kProtSetPages, "mv.prot_set_pages", "vpages those calls re-protected")                     \
   C(kFaultsDispatched, "fault.dispatched", "faults handed to a registered callback")           \
-  C(kNetMsgsSent, "net.msgs_sent", "datagrams sent by a socket or uring transport")            \
-  C(kNetMsgsRecv, "net.msgs_recv", "datagrams received by a socket or uring transport")        \
+  C(kNetMsgsSent, "net.msgs_sent", "datagrams sent by the socket transport")                   \
+  C(kNetMsgsRecv, "net.msgs_recv", "datagrams received by the socket transport")               \
   C(kNetSyscalls, "net.syscalls", "kernel entries on the transport paths")                     \
-  C(kUringSubmits, "net.uring.submits", "io_uring_enter submissions on the send ring")         \
-  C(kUringRecvCqes, "net.uring.recv_cqes", "receive completions consumed")                     \
   H(kReadFaultNs, "dsm.read_fault_ns", "read fault service, entry to retry")                   \
   H(kWriteFaultNs, "dsm.write_fault_ns", "write fault service, entry to retry")                \
   H(kBarrierNs, "dsm.barrier_ns", "barrier entry to release")                                  \
@@ -86,8 +84,7 @@ namespace millipage {
   H(kFaultServiceNs, "fault.service_ns", "fault entry to fault resolved")                      \
   H(kNetSendNs, "net.send_ns", "socket send of header plus payload")                           \
   H(kNetSendBytes, "net.send_bytes", "bytes per datagram sent")                                \
-  H(kNetRecvBytes, "net.recv_bytes", "bytes per datagram received")                            \
-  H(kUringSqeBatch, "net.uring.sqe_batch", "SQEs per send-ring submission")
+  H(kNetRecvBytes, "net.recv_bytes", "bytes per datagram received")
 // clang-format on
 
 #define MP_METRIC_ID(id, name, help) id,

@@ -94,12 +94,9 @@ struct DsmConfig {
   // format only changes when a frame actually carries more than one record.
   bool batch_coherence = true;
 
-  // Mesh transport backend for the multi-process mode
-  // (src/net/transport_factory.h). kUring drives the same SEQPACKET mesh
-  // through io_uring — multishot receive plus batched send submission — and
-  // silently falls back to kSocket when the kernel lacks support. The
-  // in-process and sim modes ignore it.
-  TransportBackend transport_backend = TransportBackend::kSocket;
+  // The multi-process mode always runs SocketTransport. Read-only: kept only
+  // so perfbench can name it (see src/net/transport_factory.h).
+  static constexpr TransportBackend transport_backend = TransportBackend::kSocket;
 
   // Fault-delivery backend for the application views (src/os/fault_handler.h).
   // kUserfaultfd removes the signal frame + ucontext decode from every miss

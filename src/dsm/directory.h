@@ -5,11 +5,13 @@
 // deployments run a single shard on host 0; sharded deployments
 // (ManagerPolicy::kSharded) run one per host, holding exactly the ids that
 // hash to it. All state in a shard is touched exclusively by its host's
-// server thread, so no locking is needed.
+// server thread, so no locking is needed; the only exception is the three
+// diagnostic gauges (see Directory::Gauges), which other threads may read.
 
 #ifndef SRC_DSM_DIRECTORY_H_
 #define SRC_DSM_DIRECTORY_H_
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <vector>
@@ -25,7 +27,9 @@ namespace millipage {
 struct DirEntry {
   HostSet copyset;          // hosts holding a copy
   bool writable = false;    // single copyset member holds ReadWrite
-  bool in_service = false;  // a request is being serviced (until ACK)
+  // A request is being serviced (until ACK). Written only through
+  // Directory::SetInService, which keeps the in-service gauge in step.
+  bool in_service = false;
   HostId in_service_for = 0;      // requester of the in-service transaction
   // The in-service request itself, kept so repair can re-issue the
   // transaction against a surviving replica when its data source dies.
@@ -135,7 +139,9 @@ struct LockEntry {
 
 struct BarrierState {
   uint32_t generation = 0;
-  // Arrival count, used by the LRC variant's fixed-membership barrier.
+  // Arrival count, used by the LRC variant's fixed-membership barrier. The
+  // DSM barrier keeps it equal to arrived_set's size through
+  // Directory::CountBarrierArrivals.
   uint32_t arrived = 0;
   // Arrival set, used by the DSM barrier: duplicate entries (post-failover
   // re-sends) collapse instead of double-counting, and release re-evaluates
@@ -152,12 +158,40 @@ struct BarrierState {
 
 class Directory {
  public:
+  // Off-thread view of the shard for liveness diagnostics: the report runs on
+  // application threads and in the transport's peer-down callback, while the
+  // server thread may be growing `entries_` (a reallocation frees the vector
+  // a walker would be reading). The server thread publishes these counts
+  // where the underlying state changes; readers get each number on its own,
+  // not a consistent cut, which is all a diagnostic needs.
+  struct Gauges {
+    std::atomic<size_t> entries{0};
+    std::atomic<size_t> in_service{0};
+    std::atomic<uint32_t> barrier_arrived{0};
+  };
+
   DirEntry& Entry(MinipageId id) {
     MP_CHECK(id != kInvalidMinipage) << "directory access with invalid minipage id";
     if (id >= entries_.size()) {
       entries_.resize(id + 1);
+      gauges_.entries.store(entries_.size(), std::memory_order_relaxed);
     }
     return entries_[id];
+  }
+
+  void SetInService(DirEntry& e, bool on) {
+    if (e.in_service == on) {
+      return;
+    }
+    e.in_service = on;
+    const size_t n = gauges_.in_service.load(std::memory_order_relaxed);
+    gauges_.in_service.store(on ? n + 1 : n - 1, std::memory_order_relaxed);
+  }
+
+  // Re-derives the barrier's arrival count from its arrival set.
+  void CountBarrierArrivals() {
+    barrier_.arrived = static_cast<uint32_t>(barrier_.arrived_set.Count());
+    gauges_.barrier_arrived.store(barrier_.arrived, std::memory_order_relaxed);
   }
 
   LockEntry& Lock(uint32_t lock_id) {
@@ -174,21 +208,14 @@ class Directory {
   // Lock ids with table slots so far (repair iterates [0, num_locks)).
   size_t num_locks() const { return locks_.size(); }
 
-  // Minipages currently in service (their ACK or invalidation round is
-  // outstanding). Read from liveness diagnostics off the manager thread, so
-  // the count is a best-effort racy snapshot.
-  size_t InServiceCount() const {
-    size_t n = 0;
-    for (const DirEntry& e : entries_) {
-      n += e.in_service ? 1 : 0;
-    }
-    return n;
-  }
+  // Safe to read from any thread.
+  const Gauges& gauges() const { return gauges_; }
 
  private:
   std::vector<DirEntry> entries_;
   std::vector<LockEntry> locks_;
   BarrierState barrier_;
+  Gauges gauges_;
 };
 
 }  // namespace millipage

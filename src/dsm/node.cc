@@ -955,14 +955,9 @@ bool DsmNode::HasOpenBatch() const {
 }
 
 void DsmNode::FlushCoalesced() {
-  // Burst window: a flush that emits frames for several destinations hands
-  // them to the kernel in one submission on transports that batch (io_uring);
-  // a no-op elsewhere.
-  transport_->BeginBurst();
   for (PendingBatch& b : coalesce_) {
     SendBatch(b);
   }
-  transport_->EndBurst();
 }
 
 void DsmNode::SendBatch(PendingBatch& b) {
@@ -1111,7 +1106,7 @@ void DsmNode::MgrStartService(MsgHeader h) {
     e.pending.push_back(h);
     return;
   }
-  e.in_service = true;
+  directory_->SetInService(e, true);
   e.in_service_for = h.from;
   e.in_service_req = h;
   Trace(TraceEventKind::kMgrSvcStart, h.minipage, h.addr, h.from, e.copyset.LowWord());
@@ -1207,10 +1202,6 @@ void DsmNode::MgrProcessWrite(const MsgHeader& h, DirEntry& e) {
   e.invalidates_pending.Clear();
   metrics_.Inc(Metric::kInvalidationRounds);
   const HostSet& live = live_set();
-  // Burst window: with coalescing off (or single-record batches) this
-  // fan-out is one datagram per copyset member; a batching transport submits
-  // them to the kernel in one go.
-  transport_->BeginBurst();
   others.ForEach([&](uint32_t host) {
     if (!live.Contains(host)) {
       return;
@@ -1228,7 +1219,6 @@ void DsmNode::MgrProcessWrite(const MsgHeader& h, DirEntry& e) {
     inv.flags = kFlagForwarded;
     SendCoalesced(static_cast<HostId>(host), inv);
   });
-  transport_->EndBurst();
   if (e.invalidates_pending.Empty()) {
     MgrFinishWriteRound(h.minipage);
   }
@@ -1357,7 +1347,7 @@ void DsmNode::MgrHandleBounced(const MsgHeader& h) {
 
 void DsmNode::MgrFinishService(MinipageId id) {
   DirEntry& e = directory_->Entry(id);
-  e.in_service = false;
+  directory_->SetInService(e, false);
   e.fetch_pending = false;
   Trace(TraceEventKind::kMgrSvcEnd, id, 0, 0, e.copyset.LowWord());
   if (e.pending.empty()) {
@@ -1365,7 +1355,7 @@ void DsmNode::MgrFinishService(MinipageId id) {
   }
   MsgHeader next = e.pending.front();
   e.pending.pop_front();
-  e.in_service = true;
+  directory_->SetInService(e, true);
   e.in_service_for = next.from;
   e.in_service_req = next;
   Trace(TraceEventKind::kMgrSvcStart, next.minipage, next.addr, next.from,
@@ -1455,7 +1445,7 @@ void DsmNode::MgrHandleBarrierEnter(const MsgHeader& h) {
       }
     }
   }
-  b.arrived = static_cast<uint32_t>(b.arrived_set.Count());
+  directory_->CountBarrierArrivals();
   MaybeReleaseBarrier();
 }
 
@@ -1494,7 +1484,7 @@ void DsmNode::MaybeReleaseBarrier() {
   }
   b.waiters.assign(keep.begin(), keep.end());
   b.arrived_set = kept;
-  b.arrived = static_cast<uint32_t>(kept.Count());
+  directory_->CountBarrierArrivals();
   b.generation = min_gen + 1;
 }
 
@@ -1566,7 +1556,7 @@ void DsmNode::FinishBarrierProbe() {
   }
   b.waiters.assign(keep.begin(), keep.end());
   b.arrived_set = kept;
-  b.arrived = static_cast<uint32_t>(kept.Count());
+  directory_->CountBarrierArrivals();
   MaybeReleaseBarrier();
 }
 
@@ -2223,7 +2213,7 @@ void DsmNode::RepairAfterDeath(HostId dead) {
         e.write_pending = false;
         e.invalidates_pending.Clear();
       }
-      e.in_service = false;
+      directory_->SetInService(e, false);
       e.push_outstanding = 0;
       while (!e.pending.empty()) {
         ReplyLost(e.pending.front());
@@ -2293,7 +2283,7 @@ void DsmNode::RepairAfterDeath(HostId dead) {
     for (auto it = b.waiters.begin(); it != b.waiters.end();) {
       it = (it->from == dead) ? b.waiters.erase(it) : std::next(it);
     }
-    b.arrived = static_cast<uint32_t>(b.arrived_set.Count());
+    directory_->CountBarrierArrivals();
   }
   MaybeReleaseBarrier();
 }
@@ -2446,11 +2436,12 @@ std::string DsmNode::LivenessReport() const {
   std::string s = buf;
   if (directory_ != nullptr) {
     // Manager-side view: how much protocol state is wedged mid-transaction.
-    // Racy snapshot (the directory belongs to the server thread), diagnostics
-    // only.
+    // The directory belongs to the server thread; only its gauges are read.
+    const Directory::Gauges& g = directory_->gauges();
     snprintf(buf, sizeof(buf), " dir{minipages=%zu in_service=%zu barrier_arrived=%u}",
-             directory_->num_entries(), directory_->InServiceCount(),
-             static_cast<const Directory*>(directory_.get())->barrier().arrived);
+             g.entries.load(std::memory_order_relaxed),
+             g.in_service.load(std::memory_order_relaxed),
+             g.barrier_arrived.load(std::memory_order_relaxed));
     s += buf;
   }
   s += "}";

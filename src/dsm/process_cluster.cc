@@ -10,7 +10,6 @@
 #include "src/common/logging.h"
 #include "src/dsm/global_ptr.h"
 #include "src/net/socket_transport.h"
-#include "src/net/transport_factory.h"
 #include "src/os/fault_handler.h"
 
 namespace millipage {
@@ -33,16 +32,7 @@ bool ChildFaultTrampoline(void* ctx, void* addr, bool is_write) {
 
 [[noreturn]] void ChildMain(const DsmConfig& config, HostId me, std::vector<int> fds,
                             const std::function<void(DsmNode&, HostId)>& fn) {
-  // The factory honours config.transport_backend with runtime fallback: a
-  // uring request on a kernel without multishot receive still comes up on
-  // the socket backend (mirroring the fault-backend fallback below).
-  MeshTransport mesh_transport =
-      MakeMeshTransport(config.transport_backend, me, std::move(fds));
-  if (mesh_transport.transport == nullptr) {
-    MP_LOG(Error) << "host " << me << ": transport init failed";
-    _exit(2);
-  }
-  Transport& transport = *mesh_transport.transport;
+  SocketTransport transport(me, std::move(fds));
   // Pin the backend BEFORE any view registers. Forked children must use the
   // SIGSEGV backend even if the parent had userfaultfd active at fork time:
   // the uffd descriptor survives the fork but the poller thread does not, so

@@ -46,11 +46,6 @@ class FaultyTransport : public Transport {
                     uint64_t timeout_us) override;
   uint16_t num_hosts() const override { return inner_->num_hosts(); }
 
-  // Burst windows pass straight through: batching is the inner transport's
-  // business and injected faults apply per message either way.
-  void BeginBurst() override { inner_->BeginBurst(); }
-  void EndBurst() override { inner_->EndBurst(); }
-
   // Peer-down events from the inner transport (e.g. SEQPACKET EOF) are
   // forwarded, and injected deaths are raised on the same handler.
   void SetPeerDownHandler(PeerDownHandler handler) override;

@@ -16,8 +16,8 @@ namespace {
 
 constexpr int kSocketBufBytes = 1 << 20;
 
-// Uniform kernel-entry counter shared with the uring backend so
-// bench_transport can compare syscalls-per-message across backends.
+// Every send/recv/poll entry into the kernel, so bench_transport can report
+// syscalls per message.
 void CountSyscall() { MetricsRegistry::Global().Inc(Metric::kNetSyscalls); }
 
 Status SetBufferSizes(int fd) {

@@ -1,13 +1,13 @@
 // Transport: the reliable, FIFO, message-boundary-preserving service the DSM
 // needs from its messaging layer (the role Illinois FastMessages plays in
-// the paper). Three implementations:
+// the paper). Implementations:
 //   * InProcTransport  — per-host mailboxes inside one process (the
 //     in-process cluster mode);
 //   * SocketTransport  — AF_UNIX SOCK_SEQPACKET full mesh (one process per
-//     host, the paper's deployment shape);
-//   * UringTransport   — the same SEQPACKET mesh driven through io_uring:
-//     multishot receive with a registered buffer ring and batched send
-//     submission, so a burst of messages costs one syscall (or none).
+//     host, the paper's deployment shape); the only mesh transport;
+//   * SimNet's SimEndpoint — the deterministic simulator's fabric
+//     (src/net/sim_transport.h);
+//   * FaultyTransport  — a fault-injecting decorator over any of these.
 
 #ifndef SRC_NET_TRANSPORT_H_
 #define SRC_NET_TRANSPORT_H_
@@ -47,14 +47,6 @@ class Transport {
                             uint64_t timeout_us) = 0;
 
   virtual uint16_t num_hosts() const = 0;
-
-  // Send-burst window. Between BeginBurst and EndBurst a transport MAY defer
-  // handing queued sends to the kernel; EndBurst releases everything at once
-  // (UringTransport turns a coalescer flush of N frames into one
-  // io_uring_enter). Nestable — only the outermost EndBurst releases — and a
-  // no-op on transports that submit eagerly. Decorators must forward both.
-  virtual void BeginBurst() {}
-  virtual void EndBurst() {}
 
   // Liveness: invoked (from whichever thread detects it, typically the
   // poller) when the transport discovers that `peer` is unreachable — its

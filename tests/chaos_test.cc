@@ -32,10 +32,6 @@ constexpr uint64_t kDetectBudgetMs = 5000;
 
 DsmConfig ChaosConfig(uint16_t hosts) {
   DsmConfig cfg;
-  // MILLIPAGE_TRANSPORT=uring re-runs the forked chaos scenarios over the
-  // io_uring transport; the in-process FaultyPair/FaultyTrio shapes keep
-  // their scripted InProcTransport regardless.
-  cfg.transport_backend = TransportBackendFromEnv();
   cfg.num_hosts = hosts;
   cfg.object_size = 1 << 20;
   cfg.request_timeout_ms = 200;

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -571,6 +572,47 @@ TEST(Protocol, SequentialConsistencyStress) {
     }
   });
   EXPECT_EQ(both_zero.load(), 0) << "a host failed to observe its own write";
+}
+
+TEST(Protocol, LivenessReportIsSafeWhileDirectoryGrows) {
+  // The report runs off the server thread (app threads on a liveness
+  // failure, the transport's peer-down callback) while the server thread
+  // grows the directory. Host 1 allocates and write-faults fresh minipages,
+  // so host 0's server keeps resizing its entry table under a side thread
+  // that keeps reporting.
+  constexpr int kCells = 2000;
+  DsmConfig cfg = Cfg(2);
+  cfg.num_views = 32;  // 32 B minipages, 32 to a vpage
+  auto cluster = DsmCluster::Create(cfg);
+  ASSERT_TRUE(cluster.ok());
+  DsmNode& host0 = (*cluster)->node(0);
+  std::atomic<bool> done{false};
+  uint64_t reports = 0;
+  std::thread reporter([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      const std::string report = host0.LivenessReport();
+      ASSERT_NE(report.find(" dir{minipages="), std::string::npos) << report;
+      ++reports;
+    }
+  });
+  (*cluster)->RunParallel([&](DsmNode& node, HostId host) {
+    if (host == 1) {
+      for (int i = 0; i < kCells; ++i) {
+        GlobalPtr<int> cell = SharedAlloc<int>(8);  // 32 B: one minipage
+        cell[0] = i;                                // write fault
+        EXPECT_EQ(cell[0], i);
+      }
+      EXPECT_GE(node.counter(Metric::kWriteFaults), static_cast<uint64_t>(kCells));
+    }
+    node.Barrier();
+  });
+  done.store(true, std::memory_order_release);
+  reporter.join();
+  EXPECT_GT(reports, 0u);
+  // Host 0 seeds an entry for every minipage it homes at allocation time:
+  // all of them when centralized, about half when sharded over two hosts.
+  const size_t homed = cfg.manager_policy == ManagerPolicy::kSharded ? kCells / 4 : kCells;
+  EXPECT_GE(host0.directory()->gauges().entries.load(), homed);
 }
 
 TEST(Protocol, ManyMinipagesManyHosts) {

@@ -1,8 +1,6 @@
 // Unit tests for the messaging layer: header format, in-process transport,
-// and the SEQPACKET mesh transports (socket and io_uring) with their
-// two-stage (header, payload) receive. The mesh edge cases run parameterized
-// over both backends — the uring leg self-skips on kernels without multishot
-// receive support, which is also what CI's probe step keys off.
+// and the SEQPACKET mesh transport (SocketTransport) with its two-stage
+// (header, payload) receive.
 
 #include <gtest/gtest.h>
 
@@ -21,8 +19,6 @@
 #include "src/net/inproc_transport.h"
 #include "src/net/message.h"
 #include "src/net/socket_transport.h"
-#include "src/net/transport_factory.h"
-#include "src/net/uring_transport.h"
 
 namespace millipage {
 namespace {
@@ -135,26 +131,14 @@ TEST(InProcTransportTest, RejectsBadHost) {
 }
 
 // ---------------------------------------------------------------------------
-// Mesh transports, parameterized over backend. Every test here runs once on
-// the socket backend and once on io_uring; the shared mesh semantics —
-// two-datagram framing, truncation detection, EOF-as-peer-down, FIFO under
-// backpressure — must hold identically.
+// The SEQPACKET mesh: two-datagram framing, truncation detection,
+// EOF-as-peer-down, FIFO under backpressure.
 // ---------------------------------------------------------------------------
 
-class MeshTransportTest : public ::testing::TestWithParam<TransportBackend> {
+class MeshTransportTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    if (GetParam() == TransportBackend::kUring && !UringTransportSupported()) {
-      GTEST_SKIP() << "kernel lacks io_uring multishot receive / buffer rings";
-    }
-  }
-
-  std::unique_ptr<Transport> MakeOne(HostId me, std::vector<int> row) {
-    MeshTransport mt = MakeMeshTransport(GetParam(), me, std::move(row));
-    MP_CHECK(mt.transport != nullptr);
-    // SetUp skipped unsupported kernels, so the request is always honoured.
-    EXPECT_EQ(mt.active, GetParam());
-    return std::move(mt.transport);
+  static std::unique_ptr<Transport> MakeOne(HostId me, std::vector<int> row) {
+    return std::make_unique<SocketTransport>(me, std::move(row));
   }
 
   std::vector<std::unique_ptr<Transport>> MakeCluster(uint16_t n) {
@@ -174,14 +158,7 @@ class MeshTransportTest : public ::testing::TestWithParam<TransportBackend> {
   }
 };
 
-INSTANTIATE_TEST_SUITE_P(Backends, MeshTransportTest,
-                         ::testing::Values(TransportBackend::kSocket,
-                                           TransportBackend::kUring),
-                         [](const ::testing::TestParamInfo<TransportBackend>& info) {
-                           return std::string(TransportBackendName(info.param));
-                         });
-
-TEST_P(MeshTransportTest, BasicSendReceive) {
+TEST_F(MeshTransportTest, BasicSendReceive) {
   ExerciseTransport([this](uint16_t n) {
     auto owned = MakeCluster(n);
     std::vector<std::shared_ptr<Transport>> out;
@@ -192,7 +169,7 @@ TEST_P(MeshTransportTest, BasicSendReceive) {
   });
 }
 
-TEST_P(MeshTransportTest, LargePayloadRoundTrip) {
+TEST_F(MeshTransportTest, LargePayloadRoundTrip) {
   auto cluster = MakeCluster(2);
   Transport& t0 = *cluster[0];
   Transport& t1 = *cluster[1];
@@ -215,7 +192,7 @@ TEST_P(MeshTransportTest, LargePayloadRoundTrip) {
   EXPECT_EQ(dest, payload);
 }
 
-TEST_P(MeshTransportTest, DroppedPayloadIsDrained) {
+TEST_F(MeshTransportTest, DroppedPayloadIsDrained) {
   auto cluster = MakeCluster(2);
   Transport& t0 = *cluster[0];
   Transport& t1 = *cluster[1];
@@ -243,9 +220,8 @@ TEST_P(MeshTransportTest, DroppedPayloadIsDrained) {
 // Without MSG_TRUNC the kernel silently truncates an oversized SEQPACKET
 // datagram to the receive buffer: recv returns sizeof(MsgHeader), the excess
 // bytes vanish, and a corrupt/mismatched sender goes undetected. The
-// receiver must surface the oversize as an error instead — on both backends
-// (the uring side reads the real size out of io_uring_recvmsg_out).
-TEST_P(MeshTransportTest, OversizedDatagramIsDetected) {
+// receiver must surface the oversize as an error instead.
+TEST_F(MeshTransportTest, OversizedDatagramIsDetected) {
   auto mesh = SocketMesh::Create(2);
   ASSERT_TRUE(mesh.ok());
   std::vector<int> row0 = std::move(mesh->fds[0]);
@@ -274,7 +250,7 @@ TEST_P(MeshTransportTest, OversizedDatagramIsDetected) {
 }
 
 // The mirror case: a datagram shorter than a header is reported, not padded.
-TEST_P(MeshTransportTest, ShortDatagramIsDetected) {
+TEST_F(MeshTransportTest, ShortDatagramIsDetected) {
   auto mesh = SocketMesh::Create(2);
   ASSERT_TRUE(mesh.ok());
   std::vector<int> row0 = std::move(mesh->fds[0]);
@@ -304,7 +280,7 @@ TEST_P(MeshTransportTest, ShortDatagramIsDetected) {
 // SEQPACKET stream (the peer would parse the next header as payload). The
 // sender must instead shut the connection down so the peer sees a clean EOF
 // — a peer-down event, not garbage.
-TEST_P(MeshTransportTest, PayloadSendFailureClosesConnection) {
+TEST_F(MeshTransportTest, PayloadSendFailureClosesConnection) {
   auto cluster = MakeCluster(2);
   Transport& t0 = *cluster[0];
   Transport& t1 = *cluster[1];
@@ -339,7 +315,7 @@ TEST_P(MeshTransportTest, PayloadSendFailureClosesConnection) {
 
 // A peer whose process dies (transport destroyed) must surface as an EOF-
 // driven peer-down event on every surviving host.
-TEST_P(MeshTransportTest, PeerDeathDeliversEof) {
+TEST_F(MeshTransportTest, PeerDeathDeliversEof) {
   auto cluster = MakeCluster(2);
   Transport& t1 = *cluster[1];
 
@@ -360,7 +336,7 @@ TEST_P(MeshTransportTest, PeerDeathDeliversEof) {
 
 // An EINTR storm must not restart the poll budget from scratch each time:
 // the wait resumes with the remaining time, so the caller's deadline holds.
-TEST_P(MeshTransportTest, PollEintrStormKeepsDeadline) {
+TEST_F(MeshTransportTest, PollEintrStormKeepsDeadline) {
   auto cluster = MakeCluster(2);
   Transport& t1 = *cluster[1];
 
@@ -380,33 +356,24 @@ TEST_P(MeshTransportTest, PollEintrStormKeepsDeadline) {
 }
 
 // Backpressure: flood far more data than the 1 MiB socket buffer holds while
-// the receiver drains concurrently. The socket backend blocks in send(2)
-// until space frees (no partial datagrams under EAGAIN); the uring backend
-// queues chains in user space and its parked SQEs complete as space frees.
-// Either way: nothing lost, nothing reordered, nothing truncated.
-TEST_P(MeshTransportTest, BackpressureFloodPreservesFifo) {
+// the receiver drains concurrently. The sender blocks in send(2) until space
+// frees (no partial datagrams under EAGAIN): nothing lost, nothing
+// reordered, nothing truncated.
+TEST_F(MeshTransportTest, BackpressureFloodPreservesFifo) {
   auto cluster = MakeCluster(2);
   Transport& t0 = *cluster[0];
   Transport& t1 = *cluster[1];
 
   constexpr uint32_t kMessages = 2000;
   constexpr size_t kPayload = 2048;  // ~4 MiB total, 4x the socket buffer
-  std::atomic<bool> all_received{false};
   std::thread sender([&] {
     std::vector<char> payload(kPayload);
     MsgHeader h;
     h.set_type(MsgType::kWriteReply);
-    MsgHeader scratch;
-    const auto drop = [](const MsgHeader&) -> std::byte* { return nullptr; };
     for (uint32_t i = 0; i < kMessages; ++i) {
       h.seq = i;
       std::memcpy(payload.data(), &i, sizeof(i));
       ASSERT_TRUE(t0.Send(1, h, payload.data(), payload.size()).ok());
-    }
-    // Deferred-submission transports need their owner to keep polling for
-    // queued chains to finish (in the DSM the server thread does this).
-    while (!all_received.load()) {
-      (void)t0.Poll(0, &scratch, drop, 1000);
     }
   });
 
@@ -425,27 +392,21 @@ TEST_P(MeshTransportTest, BackpressureFloodPreservesFifo) {
     std::memcpy(&tag, dest.data(), sizeof(tag));
     ASSERT_EQ(tag, i) << "payload mismatched its header";
   }
-  all_received.store(true);
   sender.join();
 }
 
-// A burst window delivers everything exactly once, in order, regardless of
-// backend (socket treats Begin/EndBurst as no-ops; uring defers submission
-// and releases the whole burst with one enter).
-TEST_P(MeshTransportTest, BurstWindowDeliversInOrder) {
+// An invalidation fan-out's shape: back-to-back sends alternating between
+// two destinations arrive exactly once and in send order on each pair.
+TEST_F(MeshTransportTest, InterleavedFanOutKeepsPerPairOrder) {
   auto cluster = MakeCluster(3);
   Transport& t0 = *cluster[0];
 
-  t0.BeginBurst();
-  t0.BeginBurst();  // nested: only the outermost end releases
   for (uint32_t i = 0; i < 32; ++i) {
     MsgHeader h;
     h.set_type(MsgType::kAck);
     h.seq = i;
     ASSERT_TRUE(t0.Send(1 + (i % 2), h, nullptr, 0).ok());
   }
-  t0.EndBurst();
-  t0.EndBurst();
 
   for (HostId dst = 1; dst <= 2; ++dst) {
     uint32_t expect = dst - 1;
@@ -458,42 +419,6 @@ TEST_P(MeshTransportTest, BurstWindowDeliversInOrder) {
       expect += 2;
     }
   }
-}
-
-TEST(UringTransportTest, ProbeReportsSupport) {
-  // Informational: always passes, but prints the verdict CI's probe greps.
-  MP_LOG(Info) << "io_uring transport supported: "
-               << (UringTransportSupported() ? "yes" : "no");
-  SUCCEED();
-}
-
-TEST(UringTransportTest, FallsBackToSocketWhenUnsupported) {
-  // The factory must produce a working transport no matter what was asked
-  // for; on kernels with uring support this verifies the request is
-  // honoured, elsewhere that the socket fallback engages.
-  auto mesh = SocketMesh::Create(2);
-  ASSERT_TRUE(mesh.ok());
-  std::vector<int> row0 = std::move(mesh->fds[0]);
-  std::vector<int> row1 = std::move(mesh->fds[1]);
-  mesh->fds.clear();
-  MeshTransport mt0 = MakeMeshTransport(TransportBackend::kUring, 0, std::move(row0));
-  MeshTransport mt1 = MakeMeshTransport(TransportBackend::kUring, 1, std::move(row1));
-  ASSERT_NE(mt0.transport, nullptr);
-  ASSERT_NE(mt1.transport, nullptr);
-  const TransportBackend expect = UringTransportSupported() ? TransportBackend::kUring
-                                                            : TransportBackend::kSocket;
-  EXPECT_EQ(mt0.active, expect);
-  EXPECT_EQ(mt1.active, expect);
-
-  MsgHeader h;
-  h.set_type(MsgType::kAck);
-  h.seq = 41;
-  ASSERT_TRUE(mt0.transport->Send(1, h, nullptr, 0).ok());
-  MsgHeader got;
-  auto polled = mt1.transport->Poll(
-      1, &got, [](const MsgHeader&) -> std::byte* { return nullptr; }, 1000000);
-  ASSERT_TRUE(polled.ok() && *polled);
-  EXPECT_EQ(got.seq, 41u);
 }
 
 TEST(FaultyTransportTest, DropAndDelayFilters) {

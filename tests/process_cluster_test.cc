@@ -27,10 +27,6 @@ void ExpectNoZombies() {
 
 TEST(ProcessCluster, CrossProcessReadAndWrite) {
   DsmConfig cfg;
-  cfg.transport_backend = TransportBackendFromEnv();
-  // MILLIPAGE_TRANSPORT=uring re-runs the forked suite over the io_uring
-  // transport (falls back to sockets on old kernels); the CI matrix sets it.
-  cfg.transport_backend = TransportBackendFromEnv();
   cfg.num_hosts = 3;
   cfg.object_size = 1 << 20;
   cfg.num_views = 8;
@@ -84,7 +80,6 @@ TEST(ProcessCluster, CrossProcessReadAndWrite) {
 
 TEST(ProcessCluster, LocksAndBarriersAcrossProcesses) {
   DsmConfig cfg;
-  cfg.transport_backend = TransportBackendFromEnv();
   cfg.num_hosts = 2;
   cfg.object_size = 1 << 20;
   const Status st = RunForkedCluster(cfg, [](DsmNode& node, HostId host) {
@@ -112,7 +107,6 @@ TEST(ProcessCluster, LocksAndBarriersAcrossProcesses) {
 
 TEST(ProcessCluster, ChildFailureIsReported) {
   DsmConfig cfg;
-  cfg.transport_backend = TransportBackendFromEnv();
   cfg.num_hosts = 2;
   cfg.object_size = 1 << 20;
   const Status st = RunForkedCluster(cfg, [](DsmNode& node, HostId host) {
@@ -129,7 +123,6 @@ TEST(ProcessCluster, ChildFailureIsReported) {
 
 TEST(ProcessCluster, NonZeroExitIsRecordedInOutcomes) {
   DsmConfig cfg;
-  cfg.transport_backend = TransportBackendFromEnv();
   cfg.num_hosts = 2;
   cfg.object_size = 1 << 20;
   cfg.sync_timeout_ms = 3000;  // host 0's doomed final barrier fails promptly
@@ -159,7 +152,6 @@ TEST(ProcessCluster, NonZeroExitIsRecordedInOutcomes) {
 
 TEST(ProcessCluster, ChildKilledBySignalIsRecorded) {
   DsmConfig cfg;
-  cfg.transport_backend = TransportBackendFromEnv();
   cfg.num_hosts = 3;
   cfg.object_size = 1 << 20;
   cfg.sync_timeout_ms = 3000;
