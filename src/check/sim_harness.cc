@@ -375,13 +375,24 @@ SimResult SimRun::Run() {
       // recovery run synchronously, in host order — one deterministic
       // recovery schedule per seed. Survivor workers parked on requests to
       // the dead host are kicked by the epoch bump and re-send.
+      //
+      // No worker wakes until every survivor has recovered: repair can answer
+      // a host's own queued request (a lost verdict) or kick its parked
+      // waiter, and a worker resumed mid-loop would race the later
+      // survivors' recovery traffic.
       net_->KillHost(victim);
+      for (auto& node : nodes_) {
+        node->HoldWakeups();
+      }
       for (uint16_t s = 0; s < workload_.hosts; ++s) {
         if (s == victim) {
           continue;
         }
         nodes_[s]->InjectPeerDeath(victim);
         nodes_[s]->ProcessPendingDeaths();
+      }
+      for (auto& node : nodes_) {
+        node->ReleaseWakeups();
       }
       killed = true;
       res.killed = true;
@@ -421,9 +432,13 @@ SimResult SimRun::Run() {
       w.state = Worker::State::kRunning;
       w.cv.notify_all();
     } else {
+      // A delivery only ever wakes threads of the receiving host; hold them
+      // until the handler has finished, so the whole step runs alone.
       HostId dst = 0;
       MP_CHECK(net_->ScheduleNext(&dst));
+      nodes_[dst]->HoldWakeups();
       nodes_[dst]->PumpOne();
+      nodes_[dst]->ReleaseWakeups();
     }
     res.steps++;
   }

@@ -8,7 +8,10 @@
 // parked inside a wait slot (WaitSlots::WaiterBlocked) — and then either
 // launches one worker op or delivers one message picked by the seeded SimNet
 // scheduler (DsmNode::PumpOne). Reply deadlines are disabled, so no retry
-// ever fires on wall time.
+// ever fires on wall time. No worker wakes in the middle of a step: a
+// delivery (or the host-death injection) holds every reply and membership
+// kick it produces until the step is over (DsmNode::HoldWakeups), so each
+// step runs alone.
 //
 // Under this discipline the entire run — protocol message order, protection
 // transitions, application reads and writes — is a deterministic function of

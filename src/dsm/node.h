@@ -75,6 +75,12 @@ class DsmNode {
   // Fails every blocked waiter with `why` (deadlock diagnosis path).
   void AbortWaiters(const Status& why) { slots_.AbortAll(why); }
 
+  // Brackets one simulator step: no parked thread of this node wakes between
+  // the two calls, even if the step posts it a reply or a membership kick
+  // (see WaitSlots::HoldWakeups).
+  void HoldWakeups() { slots_.HoldWakeups(); }
+  void ReleaseWakeups() { slots_.ReleaseWakeups(); }
+
   HostId id() const { return me_; }
   uint16_t num_hosts() const { return config_.num_hosts; }
   // True for the MPT/allocator host (host 0), which also translates and

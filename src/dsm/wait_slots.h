@@ -156,15 +156,44 @@ class WaitSlots {
     }
   }
 
-  // Deposits a reply and wakes the waiter.
+  // Deposits a reply and wakes the waiter (or, while wakeups are held,
+  // queues the wake for ReleaseWakeups).
   void Post(uint32_t slot, const MsgHeader& reply) {
     MP_CHECK(slot < kMaxSlots);
     Slot& s = slots_[slot];
     {
       std::lock_guard<std::mutex> lock(s.mu);
       s.replies.push_back(reply);
+      if (held_.load(std::memory_order_relaxed)) {
+        s.held_wakes++;
+        return;
+      }
     }
     sem_post(&s.sem);
+  }
+
+  // Deterministic-simulation gate. Between HoldWakeups and ReleaseWakeups,
+  // Post and KickAll still queue their replies and kicks but post no wake
+  // token, so no parked thread resumes while the simulator's driver is in the
+  // middle of a step. Without it, a reply posted early in a step (recovery
+  // answering a host's own queued request) lets the woken thread run — send,
+  // re-park, be kicked or not — concurrently with the rest of the step, and
+  // the schedule stops being a function of the seed. Threaded nodes never
+  // hold.
+  void HoldWakeups() { held_.store(true, std::memory_order_relaxed); }
+  void ReleaseWakeups() {
+    held_.store(false, std::memory_order_relaxed);
+    for (auto& s : slots_) {
+      uint32_t n;
+      {
+        std::lock_guard<std::mutex> lock(s.mu);
+        n = s.held_wakes;
+        s.held_wakes = 0;
+      }
+      for (; n > 0; --n) {
+        sem_post(&s.sem);
+      }
+    }
   }
 
   // Wakes every current waiter and fails every future wait with `status`
@@ -194,16 +223,20 @@ class WaitSlots {
   // membership immediately instead of waiting out their full timeout.
   void KickAll(Status status) {
     for (auto& s : slots_) {
-      bool parked;
+      bool wake;
       {
         std::lock_guard<std::mutex> lock(s.mu);
-        parked = s.in_wait && s.replies.empty();
+        const bool parked = s.in_wait && s.replies.empty();
         if (parked) {
           s.kicked = status;
           s.has_kick = true;
         }
+        wake = parked && !held_.load(std::memory_order_relaxed);
+        if (parked && !wake) {
+          s.held_wakes++;
+        }
       }
-      if (parked) {
+      if (wake) {
         sem_post(&s.sem);
       }
     }
@@ -239,6 +272,7 @@ class WaitSlots {
     bool in_wait = false;   // guarded by mu
     bool has_kick = false;  // guarded by mu; one-shot KickAll wake pending
     Status kicked;          // guarded by mu; status that wake reports
+    uint32_t held_wakes = 0;  // guarded by mu; tokens deferred by HoldWakeups
   };
 
   // Clears in_wait on a non-reply exit from WaitFor.
@@ -251,6 +285,7 @@ class WaitSlots {
   Slot slots_[kMaxSlots];
   std::atomic<uint32_t> next_{0};
   std::atomic<bool> aborted_{false};
+  std::atomic<bool> held_{false};
   mutable std::mutex abort_mu_;
   Status abort_status_;
 };

@@ -111,5 +111,21 @@ TEST(WaitSlots, QueuedRepliesDrainBeforeAbort) {
   EXPECT_FALSE(slots.WaitFor(slot, 1000).ok());
 }
 
+// The simulator's step gate: a reply posted while wakeups are held stays
+// queued without waking anyone, and ReleaseWakeups delivers it.
+TEST(WaitSlots, HeldPostWakesOnlyAfterRelease) {
+  WaitSlots slots;
+  const uint32_t slot = slots.Acquire();
+  slots.HoldWakeups();
+  slots.Post(slot, Reply(9));
+  const Result<MsgHeader> held = slots.WaitFor(slot, 20);
+  ASSERT_FALSE(held.ok());
+  EXPECT_EQ(held.status().code(), StatusCode::kDeadlineExceeded);
+  slots.ReleaseWakeups();
+  const Result<MsgHeader> r = slots.WaitFor(slot, 1000);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->seq, 9u);
+}
+
 }  // namespace
 }  // namespace millipage
