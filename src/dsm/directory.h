@@ -14,14 +14,29 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <utility>
 #include <vector>
 
 #include "src/common/host_set.h"
 #include "src/common/logging.h"
+#include "src/dsm/config.h"
 #include "src/multiview/minipage.h"
 #include "src/net/message.h"
 
 namespace millipage {
+
+// What an adoption survey asks about. A survey's wire messages carry it in
+// the `seq` field, which no thread waits on.
+enum class SurveySubject : uint32_t { kMinipage, kLock, kBarrier };
+
+// Adoption survey (see DsmNode::StartSurvey): the shard that adopts an id
+// from a dead shard asks every live host what it holds of the id before
+// serving it. Requests for the id queue meanwhile.
+struct Survey {
+  bool active = false;  // answers outstanding
+  bool done = false;    // latched at start: an adopted id is surveyed once
+  HostSet pending;      // hosts yet to answer
+};
 
 // Directory entry for one minipage.
 struct DirEntry {
@@ -59,13 +74,11 @@ struct DirEntry {
   HostId fetch_from = 0;
 
   // ---- Recovery state ------------------------------------------------------
-  // An adopted id whose copyset is being rebuilt: the new owning shard has
-  // broadcast kCopysetQuery and is waiting for the hosts in
-  // rebuild_pending to answer. Requests queue in `pending` meanwhile.
-  bool rebuilding = false;
-  HostSet rebuild_pending;
-  // The minipage's sole copy died with its host: every copy is gone and the
-  // id is permanently degraded. Requests are answered with a per-minipage
+  // Copyset survey of an adopted id; requests queue in `pending` while it is
+  // active.
+  Survey survey;
+  // Every copy of the minipage is gone (its sole copy died with its host, or
+  // its last holder renounced it): the id is permanently degraded. Requests are answered with a per-minipage
   // error (kFlagAbort data reply), never served — and never a cluster abort.
   bool lost = false;
 
@@ -100,14 +113,10 @@ struct LockEntry {
   HostId holder = 0;
   std::deque<MsgHeader> waiters;
 
-  // Adopted-lock rebuild: before first grant after a failover, the new
-  // owning shard probes every live host for an existing holder (a grant by
-  // the dead shard that is still live must be honored, not double-granted).
-  // Acquires queue in `waiters` until the hosts in probe_pending answer.
-  // `probed` latches so an adopted lock is probed at most once.
-  bool probing = false;
-  bool probed = false;
-  HostSet probe_pending;
+  // Holder survey of an adopted lock: a grant by the dead shard to a host
+  // that is still live must be honored, not doubled. Acquires queue in
+  // `waiters` while it is active.
+  Survey survey;
 
   bool HasWaiter(HostId h) const {
     for (const MsgHeader& w : waiters) {
@@ -148,12 +157,9 @@ struct BarrierState {
   // against the live-host set when membership shrinks.
   HostSet arrived_set;
   std::vector<MsgHeader> waiters;
-  // Adopted-barrier generation probe (see DsmNode::StartBarrierProbe): true
-  // while live hosts' completed-round counts are being collected to seed
-  // `generation` after the original barrier shard died.
-  bool probing = false;
-  bool probed = false;
-  HostSet probe_pending;
+  // Round survey of an adopted barrier: live hosts' completed-round counts
+  // seed `generation` after the original barrier shard died.
+  Survey survey;
 };
 
 class Directory {
@@ -192,6 +198,50 @@ class Directory {
   void CountBarrierArrivals() {
     barrier_.arrived = static_cast<uint32_t>(barrier_.arrived_set.Count());
     gauges_.barrier_arrived.store(barrier_.arrived, std::memory_order_relaxed);
+  }
+
+  // Replaces the queued barrier entrants, re-deriving the arrival set and
+  // count from them.
+  void SetBarrierWaiters(std::vector<MsgHeader> waiters) {
+    barrier_.arrived_set.Clear();
+    for (const MsgHeader& w : waiters) {
+      barrier_.arrived_set.Add(w.from);
+    }
+    barrier_.waiters = std::move(waiters);
+    CountBarrierArrivals();
+  }
+
+  // The survey of (subject, id); the barrier's id is kBarrierShardId.
+  Survey& SurveyOf(SurveySubject what, uint32_t id) {
+    switch (what) {
+      case SurveySubject::kMinipage:
+        return Entry(id).survey;
+      case SurveySubject::kLock:
+        return Lock(id).survey;
+      case SurveySubject::kBarrier:
+        break;
+    }
+    return barrier_.survey;
+  }
+
+  // (subject, id) of every survey still waiting for answers, minipages
+  // first, then locks, then the barrier.
+  std::vector<std::pair<SurveySubject, uint32_t>> ActiveSurveys() const {
+    std::vector<std::pair<SurveySubject, uint32_t>> out;
+    for (size_t id = 0; id < entries_.size(); ++id) {
+      if (entries_[id].survey.active) {
+        out.emplace_back(SurveySubject::kMinipage, static_cast<uint32_t>(id));
+      }
+    }
+    for (size_t id = 0; id < locks_.size(); ++id) {
+      if (locks_[id].survey.active) {
+        out.emplace_back(SurveySubject::kLock, static_cast<uint32_t>(id));
+      }
+    }
+    if (barrier_.survey.active) {
+      out.emplace_back(SurveySubject::kBarrier, kBarrierShardId);
+    }
+    return out;
   }
 
   LockEntry& Lock(uint32_t lock_id) {

@@ -876,32 +876,18 @@ void DsmNode::DispatchOne(const MsgHeader& h) {
                           : HostSet::Single(static_cast<uint32_t>(h.privbase)),
                       /*broadcast=*/false);
       break;
-    case MsgType::kCopysetQuery:
-      HandleCopysetQuery(h);
+    case MsgType::kSurvey:
+      SendMsg(h.from, SurveyReply(h));
       break;
-    case MsgType::kCopysetReply:
-      MP_CHECK(OwnsShard(h.minipage)) << "copyset reply at non-owning shard";
-      MgrHandleCopysetReply(h);
-      break;
-    case MsgType::kLockProbe:
-      HandleLockProbe(h);
-      break;
-    case MsgType::kLockProbeReply:
-      MP_CHECK(OwnsShard(h.minipage)) << "lock probe reply at non-owning shard";
-      MgrHandleLockProbeReply(h);
+    case MsgType::kSurveyReply:
+      MP_CHECK(OwnsShard(h.minipage)) << "survey reply at non-owning shard";
+      MgrHandleSurveyReply(h);
       break;
     case MsgType::kFlushHint:
       // Self-addressed wakeup from SendCoalesced: drain the open batches.
       MP_CHECK(h.from == me_) << "flush hint from another host";
       flush_hint_inflight_ = false;
       FlushCoalesced();
-      break;
-    case MsgType::kBarrierProbe:
-      HandleBarrierProbe(h);
-      break;
-    case MsgType::kBarrierProbeReply:
-      MP_CHECK(OwnsShard(kBarrierShardId)) << "barrier probe reply at non-barrier shard";
-      MgrHandleBarrierProbeReply(h);
       break;
   }
 }
@@ -1070,24 +1056,23 @@ void DsmNode::MgrStartService(MsgHeader h) {
     ReplyLost(h);
     return;
   }
-  if (e.rebuilding) {
+  if (e.survey.active) {
     e.pending.push_back(h);  // adopted id, copyset still being reassembled
     return;
   }
   if (e.copyset.Empty()) {
     // First request this shard sees for the id. If the id's original home
     // shard is dead, this shard adopted it and cannot know whether the id
-    // was ever serviced: rebuild the copyset by querying every live host
-    // (the request waits in `pending` meanwhile). Otherwise the initial
-    // holder is always host 0: allocation opened the minipage ReadWrite
-    // there, and every first-touch request passes host 0's translation
-    // before arriving here (closing the growth chunk), so "never serviced"
-    // ⇒ "still manager-held". Centralized shards never hit either path
+    // was ever serviced: survey every live host for copies (the request
+    // waits in `pending` meanwhile). Otherwise the initial holder is always
+    // host 0: allocation opened the minipage ReadWrite there, and every
+    // first-touch request passes host 0's translation before arriving here
+    // (closing the growth chunk), so "never serviced" ⇒ "still
+    // manager-held". Centralized shards never hit either path
     // (MgrHandleAlloc seeds the entry, and they never rehash).
-    const HostId home = config_.ManagerOf(h.minipage);
-    if (home != me_ && dead_set().Contains(home)) {
+    if (NeedsSurvey(SurveySubject::kMinipage, h.minipage)) {
       e.pending.push_back(h);
-      StartCopysetRebuild(h);
+      StartSurvey(SurveySubject::kMinipage, h);
       return;
     }
     e.copyset = HostSet::Single(kManagerHost);
@@ -1284,15 +1269,9 @@ void DsmNode::MgrHandleAck(const MsgHeader& h) {
     // wedging or aborting the cluster.
     e.copyset.Remove(h.from);
     if (e.copyset.Empty() && !e.lost) {
-      e.lost = true;
-      e.writable = false;
-      metrics_.Inc(Metric::kMinipagesLost);
       MP_LOG(Error) << "host " << me_ << ": minipage " << h.minipage
                     << " lost: host " << h.from << " renounced the only copy";
-      while (!e.pending.empty()) {
-        ReplyLost(e.pending.front());
-        e.pending.pop_front();
-      }
+      MarkLost(h.minipage, h.from);
     }
     if (e.in_service) {
       MgrFinishService(h.minipage);
@@ -1416,8 +1395,8 @@ void DsmNode::MgrHandleAlloc(const MsgHeader& h) {
 
 void DsmNode::MgrHandleBarrierEnter(const MsgHeader& h) {
   BarrierState& b = directory_->barrier();
-  if (BarrierNeedsProbe()) {
-    StartBarrierProbe();
+  if (NeedsSurvey(SurveySubject::kBarrier, kBarrierShardId)) {
+    StartSurvey(SurveySubject::kBarrier, h);
   }
   if (h.pgsize < b.generation) {
     // Entry for a round this shard already released: the host's original
@@ -1425,10 +1404,7 @@ void DsmNode::MgrHandleBarrierEnter(const MsgHeader& h) {
     // round's quorum was met once — re-releasing it is idempotent, and
     // queueing the entry instead would strand the host waiting on peers that
     // have already moved past the round.
-    MsgHeader release = h;
-    release.set_type(MsgType::kBarrierRelease);
-    release.minipage = h.pgsize;
-    SendMsg(h.from, release);
+    ReleaseBarrierBelow(b.generation, {h});
     return;
   }
   if (!b.arrived_set.Contains(h.from)) {
@@ -1447,6 +1423,22 @@ void DsmNode::MgrHandleBarrierEnter(const MsgHeader& h) {
   }
   directory_->CountBarrierArrivals();
   MaybeReleaseBarrier();
+}
+
+std::vector<MsgHeader> DsmNode::ReleaseBarrierBelow(uint32_t gen,
+                                                    std::vector<MsgHeader> entrants) {
+  std::vector<MsgHeader> keep;
+  for (const MsgHeader& w : entrants) {
+    if (w.pgsize >= gen) {
+      keep.push_back(w);
+      continue;
+    }
+    MsgHeader release = w;
+    release.set_type(MsgType::kBarrierRelease);
+    release.minipage = w.pgsize;
+    SendMsg(w.from, release);
+  }
+  return keep;
 }
 
 void DsmNode::MaybeReleaseBarrier() {
@@ -1469,155 +1461,33 @@ void DsmNode::MaybeReleaseBarrier() {
   for (const MsgHeader& w : b.waiters) {
     min_gen = std::min(min_gen, w.pgsize);
   }
-  std::vector<MsgHeader> keep;
-  HostSet kept;
-  for (const MsgHeader& w : b.waiters) {
-    if (w.pgsize == min_gen) {
-      MsgHeader release = w;
-      release.set_type(MsgType::kBarrierRelease);
-      release.minipage = min_gen;
-      SendMsg(w.from, release);
-    } else {
-      keep.push_back(w);
-      kept.Add(w.from);
-    }
-  }
-  b.waiters.assign(keep.begin(), keep.end());
-  b.arrived_set = kept;
-  directory_->CountBarrierArrivals();
+  directory_->SetBarrierWaiters(ReleaseBarrierBelow(min_gen + 1, std::move(b.waiters)));
   b.generation = min_gen + 1;
-}
-
-// ---- Adopted-barrier generation probe ---------------------------------------
-//
-// When the barrier shard dies mid-release — some hosts of round k released,
-// others' releases lost with the shard — the released hosts may be past their
-// final barrier and will never enter again, so the adopting shard's
-// wait-for-all-live release rule deadlocks the stragglers. The probe asks
-// every live host for its completed-round count: any host past round k proves
-// round k's quorum was met at the dead shard, and the stragglers re-sending
-// round k can be released without a fresh quorum.
-
-bool DsmNode::BarrierNeedsProbe() const {
-  const BarrierState& b = static_cast<const Directory*>(directory_.get())->barrier();
-  if (b.probed || b.probing || !RecoveryEnabled()) {
-    return false;
-  }
-  const HostSet& dead = dead_set();
-  if (dead.Empty()) {
-    return false;
-  }
-  const HostId home = config_.BarrierManager();
-  // Only an adopted barrier is probed: the original home's state is
-  // authoritative.
-  return home != me_ && dead.Contains(home);
-}
-
-void DsmNode::StartBarrierProbe() {
-  BarrierState& b = directory_->barrier();
-  b.probing = true;
-  b.probed = true;
-  b.probe_pending = live_set();
-  b.probe_pending.Remove(me_);
-  // Our own completed-round count seeds the generation (we are not probed).
-  {
-    std::lock_guard<std::mutex> lock(epoch_mu_);
-    b.generation = std::max(b.generation, epoch_);
-  }
-  MsgHeader probe;
-  probe.set_type(MsgType::kBarrierProbe);
-  probe.from = me_;
-  probe.seq = kNoWaitSlot;
-  probe.minipage = kBarrierShardId;
-  b.probe_pending.ForEach([&](uint32_t host) { SendMsg(static_cast<HostId>(host), probe); });
-  if (b.probe_pending.Empty()) {
-    FinishBarrierProbe();
-  }
-}
-
-void DsmNode::FinishBarrierProbe() {
-  BarrierState& b = directory_->barrier();
-  b.probing = false;
-  b.probe_pending.Clear();
-  // Rounds below the probed generation met quorum at the dead shard: release
-  // their stragglers now — the hosts released back then may never re-enter.
-  std::vector<MsgHeader> keep;
-  HostSet kept;
-  for (const MsgHeader& w : b.waiters) {
-    if (w.pgsize < b.generation) {
-      MsgHeader release = w;
-      release.set_type(MsgType::kBarrierRelease);
-      release.minipage = w.pgsize;
-      SendMsg(w.from, release);
-    } else {
-      keep.push_back(w);
-      kept.Add(w.from);
-    }
-  }
-  b.waiters.assign(keep.begin(), keep.end());
-  b.arrived_set = kept;
-  directory_->CountBarrierArrivals();
-  MaybeReleaseBarrier();
-}
-
-void DsmNode::HandleBarrierProbe(const MsgHeader& h) {
-  MsgHeader reply = h;
-  reply.set_type(MsgType::kBarrierProbeReply);
-  reply.from = me_;
-  {
-    std::lock_guard<std::mutex> lock(epoch_mu_);
-    reply.pgsize = epoch_;
-  }
-  SendMsg(h.from, reply);
-}
-
-void DsmNode::MgrHandleBarrierProbeReply(const MsgHeader& h) {
-  BarrierState& b = directory_->barrier();
-  if (!b.probing) {
-    return;  // stale (probe already resolved)
-  }
-  b.probe_pending.Remove(h.from);
-  b.generation = std::max(b.generation, h.pgsize);
-  if (!b.probe_pending.Intersects(live_set())) {
-    FinishBarrierProbe();
-  }
 }
 
 void DsmNode::MgrHandleLockAcquire(const MsgHeader& h) {
   LockEntry& l = directory_->Lock(h.minipage);
-  if (LockNeedsProbe(h.minipage, l)) {
-    StartLockProbe(h.minipage);
+  if (NeedsSurvey(SurveySubject::kLock, h.minipage)) {
+    StartSurvey(SurveySubject::kLock, h);
   }
-  if (l.probing) {
-    // Adoption in progress: queue until every live host has answered the
-    // holder probe (a grant issued by the dead shard must be honored, not
-    // doubled).
-    if (!l.RefreshWaiter(h)) {
-      l.waiters.push_back(h);
-    }
+  if (l.held && l.holder == h.from && !l.survey.active) {
+    // The current holder re-sent its acquire (its original grant was
+    // dropped across an epoch bump): re-grant idempotently. No kLockGrant
+    // trace — this is not a new hand-off.
+    MsgHeader grant = h;
+    grant.set_type(MsgType::kLockGrant);
+    SendMsg(h.from, grant);
     return;
   }
-  if (l.held) {
-    if (l.holder == h.from) {
-      // The current holder re-sent its acquire (its original grant was
-      // dropped across an epoch bump): re-grant idempotently. No kLockGrant
-      // trace — this is not a new hand-off.
-      MsgHeader grant = h;
-      grant.set_type(MsgType::kLockGrant);
-      SendMsg(h.from, grant);
-      return;
-    }
-    if (!l.RefreshWaiter(h)) {
-      l.waiters.push_back(h);
-    }
-    return;
+  // Queue the acquire. While the adoption survey is active it waits even for
+  // a free lock: a grant issued by the dead shard must be honored, not
+  // doubled. A free lock has no other waiter, so the grant below goes to `h`.
+  if (!l.RefreshWaiter(h)) {
+    l.waiters.push_back(h);
   }
-  l.held = true;
-  l.holder = h.from;
-  Trace(TraceEventKind::kLockGrant, h.minipage, 0, h.from);
-  MsgHeader grant = h;
-  grant.set_type(MsgType::kLockGrant);
-  SendMsg(h.from, grant);
+  if (!l.held && !l.survey.active) {
+    GrantNextWaiter(h.minipage);
+  }
 }
 
 void DsmNode::MgrHandleLockRelease(const MsgHeader& h) {
@@ -1632,109 +1502,26 @@ void DsmNode::MgrHandleLockRelease(const MsgHeader& h) {
     MP_CHECK(l.held && l.holder == h.from) << "unlock by non-holder";
   }
   Trace(TraceEventKind::kLockRelease, h.minipage, 0, h.from);
-  if (l.probing) {
-    l.held = false;  // grant deferred until the probe finishes
+  if (l.survey.active) {
+    l.held = false;  // grant deferred until the survey finishes
     return;
   }
+  GrantNextWaiter(h.minipage);
+}
+
+void DsmNode::GrantNextWaiter(uint32_t lock_id) {
+  LockEntry& l = directory_->Lock(lock_id);
   if (l.waiters.empty()) {
     l.held = false;
     return;
   }
   MsgHeader next = l.waiters.front();
   l.waiters.pop_front();
+  l.held = true;
   l.holder = next.from;
-  Trace(TraceEventKind::kLockGrant, next.minipage, 0, next.from);
+  Trace(TraceEventKind::kLockGrant, lock_id, 0, next.from);
   next.set_type(MsgType::kLockGrant);
   SendMsg(next.from, next);
-}
-
-// ---- Adopted-lock holder probe ---------------------------------------------
-
-bool DsmNode::LockNeedsProbe(uint32_t lock_id, const LockEntry& l) const {
-  if (l.probed || l.probing || !RecoveryEnabled()) {
-    return false;
-  }
-  const HostSet& dead = dead_set();
-  if (dead.Empty()) {
-    return false;
-  }
-  const HostId home = config_.ManagerOf(lock_id);
-  // Only adopted locks are probed: if this shard is the original home, its
-  // own state is authoritative.
-  return home != me_ && dead.Contains(home);
-}
-
-void DsmNode::StartLockProbe(uint32_t lock_id) {
-  LockEntry& l = directory_->Lock(lock_id);
-  l.probing = true;
-  l.probed = true;
-  l.probe_pending = live_set();
-  l.probe_pending.Remove(me_);
-  MsgHeader probe;
-  probe.set_type(MsgType::kLockProbe);
-  probe.from = me_;
-  probe.seq = kNoWaitSlot;
-  probe.minipage = lock_id;
-  l.probe_pending.ForEach([&](uint32_t host) { SendMsg(static_cast<HostId>(host), probe); });
-  // Check our own held set inline (we are not in the probed set).
-  {
-    std::lock_guard<std::mutex> lock(held_mu_);
-    if (held_locks_.count(lock_id) != 0) {
-      l.held = true;
-      l.holder = me_;
-    }
-  }
-  if (l.probe_pending.Empty()) {
-    FinishLockProbe(lock_id);
-  }
-}
-
-void DsmNode::FinishLockProbe(uint32_t lock_id) {
-  LockEntry& l = directory_->Lock(lock_id);
-  l.probing = false;
-  l.probe_pending.Clear();
-  if (l.held) {
-    return;  // a surviving holder claimed the lock; waiters queue behind it
-  }
-  if (!l.waiters.empty()) {
-    MsgHeader next = l.waiters.front();
-    l.waiters.pop_front();
-    l.held = true;
-    l.holder = next.from;
-    Trace(TraceEventKind::kLockGrant, lock_id, 0, next.from);
-    next.set_type(MsgType::kLockGrant);
-    SendMsg(next.from, next);
-  }
-}
-
-void DsmNode::HandleLockProbe(const MsgHeader& h) {
-  bool held;
-  {
-    std::lock_guard<std::mutex> lock(held_mu_);
-    held = held_locks_.count(h.minipage) != 0;
-  }
-  MsgHeader reply = h;
-  reply.set_type(MsgType::kLockProbeReply);
-  reply.from = me_;
-  reply.flags = held ? kFlagUpgrade : 0;
-  SendMsg(h.from, reply);
-}
-
-void DsmNode::MgrHandleLockProbeReply(const MsgHeader& h) {
-  LockEntry& l = directory_->Lock(h.minipage);
-  if (!l.probing) {
-    return;  // stale (probe already resolved)
-  }
-  l.probe_pending.Remove(h.from);
-  if ((h.flags & kFlagUpgrade) != 0) {
-    MP_CHECK(!l.held || l.holder == h.from)
-        << "two hosts claim lock " << h.minipage << " during adoption probe";
-    l.held = true;
-    l.holder = h.from;
-  }
-  if (!l.probe_pending.Intersects(live_set())) {
-    FinishLockProbe(h.minipage);
-  }
 }
 
 // ---- Serving side ------------------------------------------------------------
@@ -2162,13 +1949,10 @@ void DsmNode::RepairAfterDeath(HostId dead) {
       e.RemoveCopy(dead);
       metrics_.Inc(Metric::kCopysetRepairs);
     }
-    if (e.rebuilding) {
-      e.rebuild_pending.Remove(dead);
-      if (!e.rebuild_pending.Intersects(live_set())) {
-        FinishCopysetRebuild(id);
-      }
-      continue;
+    if (e.survey.active) {
+      continue;  // never served yet; the survey loop below retires the host
     }
+    bool lost = false;
     // A data forward the dead host will never serve. The requester joined
     // the copyset at grant time, but that copy is provisional — the bytes
     // never left the dead source.
@@ -2182,7 +1966,7 @@ void DsmNode::RepairAfterDeath(HostId dead) {
         // retry (fresh generation after its membership kick or timeout)
         // finds e.lost and gets the per-minipage error reply.
         e.RemoveCopy(e.in_service_for);
-        e.lost = true;
+        lost = true;
       } else if (e.in_service_for == dead) {
         MgrFinishService(id);  // requester died with the source: serve the queue
       } else {
@@ -2197,17 +1981,13 @@ void DsmNode::RepairAfterDeath(HostId dead) {
     }
     // A write round whose data source died loses the minipage contents: the
     // requester held no copy (else it would have been the source) and every
-    // other replica was ordered invalid.
-    if (e.write_pending && e.write_remaining == dead) {
-      e.lost = true;
+    // other replica was ordered invalid. And if the dead host held the only
+    // copy, the id is permanently degraded.
+    if ((e.write_pending && e.write_remaining == dead) || (had_copy && e.copyset.Empty())) {
+      lost = true;
     }
-    if (had_copy && e.copyset.Empty()) {
-      // The dead host held the only copy: permanently degraded.
-      e.lost = true;
-    }
-    if (e.lost) {
-      metrics_.Inc(Metric::kMinipagesLost);
-      Trace(TraceEventKind::kMinipageLost, id, 0, dead);
+    if (lost) {
+      // Close the transaction in flight: nobody can complete it.
       if (e.write_pending) {
         ReplyLost(e.pending_write);
         e.write_pending = false;
@@ -2215,10 +1995,7 @@ void DsmNode::RepairAfterDeath(HostId dead) {
       }
       directory_->SetInService(e, false);
       e.push_outstanding = 0;
-      while (!e.pending.empty()) {
-        ReplyLost(e.pending.front());
-        e.pending.pop_front();
-      }
+      MarkLost(id, dead);
       continue;
     }
     // Retire the invalidation the dead host will never answer.
@@ -2250,34 +2027,25 @@ void DsmNode::RepairAfterDeath(HostId dead) {
     for (auto it = l.waiters.begin(); it != l.waiters.end();) {
       it = (it->from == dead) ? l.waiters.erase(it) : std::next(it);
     }
-    if (l.probing) {
-      l.probe_pending.Remove(dead);
-      if (!l.probe_pending.Intersects(live_set())) {
-        FinishLockProbe(lock_id);
-      }
-    }
     if (l.held && l.holder == dead) {
       Trace(TraceEventKind::kLockRelease, lock_id, 0, dead);
-      if (l.waiters.empty() || l.probing) {
-        l.held = false;
+      if (l.survey.active) {
+        l.held = false;  // the survey's finish grants
       } else {
-        MsgHeader next = l.waiters.front();
-        l.waiters.pop_front();
-        l.holder = next.from;
-        Trace(TraceEventKind::kLockGrant, lock_id, 0, next.from);
-        next.set_type(MsgType::kLockGrant);
-        SendMsg(next.from, next);
+        GrantNextWaiter(lock_id);
       }
+    }
+  }
+  // Surveys: the dead host will never answer.
+  for (const auto& [what, id] : directory_->ActiveSurveys()) {
+    Survey& s = directory_->SurveyOf(what, id);
+    s.pending.Remove(dead);
+    if (!s.pending.Intersects(live_set())) {
+      FinishSurvey(what, id);
     }
   }
   // Barrier: the dead host no longer counts toward (or blocks) release.
   BarrierState& b = directory_->barrier();
-  if (b.probing) {
-    b.probe_pending.Remove(dead);
-    if (!b.probe_pending.Intersects(live_set())) {
-      FinishBarrierProbe();
-    }
-  }
   if (b.arrived_set.Contains(dead)) {
     b.arrived_set.Remove(dead);
     for (auto it = b.waiters.begin(); it != b.waiters.end();) {
@@ -2335,84 +2103,161 @@ void DsmNode::ReplyLost(const MsgHeader& h) {
   SendMsg(h.from, reply);
 }
 
-// ---- Adopted-minipage copyset rebuild --------------------------------------
-
-void DsmNode::StartCopysetRebuild(const MsgHeader& h) {
-  DirEntry& e = directory_->Entry(h.minipage);
-  e.rebuilding = true;
-  e.rebuild_pending = live_set();
-  e.rebuild_pending.Remove(me_);
-  // Ask every live host whether it holds a copy; the translated geometry
-  // travels in the header exactly like a forward, so responders can check
-  // their own view protection without an MPT.
-  MsgHeader query = h;
-  query.set_type(MsgType::kCopysetQuery);
-  query.from = me_;
-  query.seq = kNoWaitSlot;
-  query.flags = 0;
-  e.rebuild_pending.ForEach(
-      [&](uint32_t host) { SendMsg(static_cast<HostId>(host), query); });
-  // Count our own copy inline.
-  const Minipage mp = MinipageFromHeader(h);
-  const Protection mine = views_->GetProtection(mp);
-  if (mine != Protection::kNoAccess) {
-    e.AddCopy(me_);
-    e.writable = mine == Protection::kReadWrite;
-  }
-  if (e.rebuild_pending.Empty()) {
-    FinishCopysetRebuild(h.minipage);
-  }
-}
-
-void DsmNode::HandleCopysetQuery(const MsgHeader& h) {
-  const Minipage mp = MinipageFromHeader(h);
-  MsgHeader reply = h;
-  reply.set_type(MsgType::kCopysetReply);
-  reply.from = me_;
-  reply.pgsize = static_cast<uint32_t>(views_->GetProtection(mp));
-  SendMsg(h.from, reply);
-}
-
-void DsmNode::MgrHandleCopysetReply(const MsgHeader& h) {
-  DirEntry& e = directory_->Entry(h.minipage);
-  if (!e.rebuilding) {
-    return;  // stale (rebuild already resolved)
-  }
-  e.rebuild_pending.Remove(h.from);
-  const auto prot = static_cast<Protection>(h.pgsize);
-  if (prot != Protection::kNoAccess) {
-    e.AddCopy(h.from);
-    if (prot == Protection::kReadWrite) {
-      e.writable = true;
-    }
-  }
-  if (!e.rebuild_pending.Intersects(live_set())) {
-    FinishCopysetRebuild(h.minipage);
-  }
-}
-
-void DsmNode::FinishCopysetRebuild(MinipageId id) {
+void DsmNode::MarkLost(MinipageId id, HostId cause) {
   DirEntry& e = directory_->Entry(id);
-  e.rebuilding = false;
-  e.rebuild_pending.Clear();
-  if (e.copyset.Empty()) {
-    // No live host holds a copy: the id died with its owner.
-    e.lost = true;
-    metrics_.Inc(Metric::kMinipagesLost);
-    Trace(TraceEventKind::kMinipageLost, id, 0, 0);
-    while (!e.pending.empty()) {
-      ReplyLost(e.pending.front());
-      e.pending.pop_front();
-    }
-    return;
-  }
-  MP_LOG(Error) << "host " << me_ << ": adopted minipage " << id
-                << ", rebuilt copyset of " << e.copyset.Count()
-                << " (low mask 0x" << std::hex << e.copyset.LowWord() << std::dec << ")";
-  if (!e.pending.empty() && !e.in_service) {
-    MsgHeader next = e.pending.front();
+  e.lost = true;
+  e.writable = false;
+  metrics_.Inc(Metric::kMinipagesLost);
+  Trace(TraceEventKind::kMinipageLost, id, 0, cause);
+  while (!e.pending.empty()) {
+    ReplyLost(e.pending.front());
     e.pending.pop_front();
-    MgrStartService(next);
+  }
+}
+
+// ---- Adoption survey ---------------------------------------------------------
+//
+// A shard that adopts an id from a dead shard knows nothing about it, so
+// before serving the id it asks every live host (kSurvey) and folds their
+// answers (kSurveyReply) and its own into the adopted state. Requests for the
+// id queue until every live host has answered; RepairAfterDeath retires the
+// answer of a host that dies first. One survey per adopted id, by subject:
+//   * minipage: which hosts hold a copy. The answers rebuild the copyset; no
+//     copy anywhere means the id died with its owner.
+//   * lock: who holds it. A grant by the dead shard to a host that is still
+//     live must be honored, not doubled.
+//   * barrier: how many rounds each host has completed. Any host past round
+//     k proves round k's quorum was met at the dead shard, so a straggler
+//     re-sending round k is released even if the released hosts have
+//     finished and will never enter the barrier again.
+
+bool DsmNode::NeedsSurvey(SurveySubject what, uint32_t id) {
+  const Survey& s = directory_->SurveyOf(what, id);
+  if (s.active || s.done || !RecoveryEnabled()) {
+    return false;
+  }
+  // Only an adopted id is surveyed: its original home's state is
+  // authoritative.
+  const HostId home = config_.ManagerOf(id);
+  return home != me_ && dead_set().Contains(home);
+}
+
+void DsmNode::StartSurvey(SurveySubject what, const MsgHeader& h) {
+  Survey& s = directory_->SurveyOf(what, h.minipage);
+  s.active = true;
+  s.done = true;
+  s.pending = live_set();
+  MsgHeader q = h;
+  q.set_type(MsgType::kSurvey);
+  q.from = me_;
+  q.seq = static_cast<uint32_t>(what);
+  q.flags = 0;
+  s.pending.ForEach([&](uint32_t host) {
+    if (host != me_) {
+      SendMsg(static_cast<HostId>(host), q);
+    }
+  });
+  MgrHandleSurveyReply(SurveyReply(q));  // our own answer
+}
+
+MsgHeader DsmNode::SurveyReply(const MsgHeader& q) const {
+  MsgHeader reply = q;
+  reply.set_type(MsgType::kSurveyReply);
+  reply.from = me_;
+  switch (static_cast<SurveySubject>(q.seq)) {
+    case SurveySubject::kMinipage:
+      reply.pgsize = static_cast<uint32_t>(views_->GetProtection(MinipageFromHeader(q)));
+      break;
+    case SurveySubject::kLock: {
+      std::lock_guard<std::mutex> lock(held_mu_);
+      reply.pgsize = held_locks_.count(q.minipage) != 0 ? 1 : 0;
+      break;
+    }
+    case SurveySubject::kBarrier: {
+      std::lock_guard<std::mutex> lock(epoch_mu_);
+      reply.pgsize = epoch_;
+      break;
+    }
+    default:
+      MP_LOG(Fatal) << "survey with unknown subject " << q.seq;
+  }
+  return reply;
+}
+
+void DsmNode::MgrHandleSurveyReply(const MsgHeader& h) {
+  const auto what = static_cast<SurveySubject>(h.seq);
+  Survey& s = directory_->SurveyOf(what, h.minipage);
+  if (!s.active) {
+    return;  // stale (survey already finished)
+  }
+  s.pending.Remove(h.from);
+  switch (what) {
+    case SurveySubject::kMinipage: {
+      DirEntry& e = directory_->Entry(h.minipage);
+      const auto prot = static_cast<Protection>(h.pgsize);
+      if (prot != Protection::kNoAccess) {
+        e.AddCopy(h.from);
+        if (prot == Protection::kReadWrite) {
+          e.writable = true;
+        }
+      }
+      break;
+    }
+    case SurveySubject::kLock:
+      if (h.pgsize != 0) {
+        LockEntry& l = directory_->Lock(h.minipage);
+        MP_CHECK(!l.held || l.holder == h.from)
+            << "two hosts claim lock " << h.minipage << " during adoption survey";
+        l.held = true;
+        l.holder = h.from;
+      }
+      break;
+    case SurveySubject::kBarrier: {
+      BarrierState& b = directory_->barrier();
+      b.generation = std::max(b.generation, h.pgsize);
+      break;
+    }
+  }
+  if (!s.pending.Intersects(live_set())) {
+    FinishSurvey(what, h.minipage);
+  }
+}
+
+void DsmNode::FinishSurvey(SurveySubject what, uint32_t id) {
+  Survey& s = directory_->SurveyOf(what, id);
+  s.active = false;
+  s.pending.Clear();
+  switch (what) {
+    case SurveySubject::kMinipage: {
+      DirEntry& e = directory_->Entry(id);
+      if (e.copyset.Empty()) {
+        MarkLost(id, 0);  // no live host holds a copy
+        return;
+      }
+      MP_LOG(Error) << "host " << me_ << ": adopted minipage " << id
+                    << ", rebuilt copyset of " << e.copyset.Count() << " (low mask 0x"
+                    << std::hex << e.copyset.LowWord() << std::dec << ")";
+      if (!e.pending.empty() && !e.in_service) {
+        MsgHeader next = e.pending.front();
+        e.pending.pop_front();
+        MgrStartService(next);
+      }
+      return;
+    }
+    case SurveySubject::kLock:
+      if (!directory_->Lock(id).held) {
+        GrantNextWaiter(id);  // no surviving holder claimed the lock
+      }
+      return;
+    case SurveySubject::kBarrier: {
+      // Rounds below the surveyed generation met quorum at the dead shard:
+      // release their stragglers now — the hosts released back then may
+      // never re-enter.
+      BarrierState& b = directory_->barrier();
+      directory_->SetBarrierWaiters(ReleaseBarrierBelow(b.generation, std::move(b.waiters)));
+      MaybeReleaseBarrier();
+      return;
+    }
   }
 }
 

@@ -304,6 +304,13 @@ class DsmNode {
   void MgrHandleBarrierEnter(const MsgHeader& h);
   void MgrHandleLockAcquire(const MsgHeader& h);
   void MgrHandleLockRelease(const MsgHeader& h);
+  // Hands the lock to its oldest waiter, or frees it when nobody waits.
+  void GrantNextWaiter(uint32_t lock_id);
+  // Releases every entrant in `entrants` whose round (pgsize) is below
+  // `gen`, each stamped with its own round; returns the rest.
+  std::vector<MsgHeader> ReleaseBarrierBelow(uint32_t gen, std::vector<MsgHeader> entrants);
+  // Releases the barrier's oldest round once every live host has arrived.
+  void MaybeReleaseBarrier();
 
   // Serving side (any host).
   void ServeReadRequest(const MsgHeader& h);
@@ -365,29 +372,18 @@ class DsmNode {
   bool AwaitMembershipChange(uint32_t epoch_before);
   // Answers a request for a lost minipage with a kFlagAbort data reply.
   void ReplyLost(const MsgHeader& h);
-  // Copyset rebuild for an adopted id (geometry travels in `h`).
-  void StartCopysetRebuild(const MsgHeader& h);
-  void FinishCopysetRebuild(MinipageId id);
-  void HandleCopysetQuery(const MsgHeader& h);
-  void MgrHandleCopysetReply(const MsgHeader& h);
-  // Adopted-lock holder probe.
-  bool LockNeedsProbe(uint32_t lock_id, const LockEntry& l) const;
-  void StartLockProbe(uint32_t lock_id);
-  void FinishLockProbe(uint32_t lock_id);
-  void HandleLockProbe(const MsgHeader& h);
-  void MgrHandleLockProbeReply(const MsgHeader& h);
-  // Adopted-barrier generation probe: a shard that inherits the barrier asks
-  // every live host how many rounds it has completed. Any host past round k
-  // proves round k's quorum was met at the dead shard, so a straggler
-  // re-sending round k can be released even if the released hosts have
-  // finished their scripts and will never enter the barrier again.
-  bool BarrierNeedsProbe() const;
-  void StartBarrierProbe();
-  void FinishBarrierProbe();
-  void HandleBarrierProbe(const MsgHeader& h);
-  void MgrHandleBarrierProbeReply(const MsgHeader& h);
-  // Releases the barrier's oldest round once every live host has arrived.
-  void MaybeReleaseBarrier();
+  // Degrades minipage `id` for good: counts and traces the loss (arg1 =
+  // `cause`, the host whose copy was the last) and answers its queued
+  // requests with the lost verdict.
+  void MarkLost(MinipageId id, HostId cause);
+  // Adoption survey (see node.cc): `h` is the request that found the id
+  // adopted; a minipage's carries its translated geometry.
+  bool NeedsSurvey(SurveySubject what, uint32_t id);
+  void StartSurvey(SurveySubject what, const MsgHeader& h);
+  // This host's answer to survey `q`.
+  MsgHeader SurveyReply(const MsgHeader& q) const;
+  void MgrHandleSurveyReply(const MsgHeader& h);
+  void FinishSurvey(SurveySubject what, uint32_t id);
 
   // Logs the liveness report and returns `cause` annotated with `op`.
   Status LivenessFailure(const char* op, const Status& cause);
@@ -498,7 +494,7 @@ class DsmNode {
   mutable std::mutex member_mu_;
   std::condition_variable member_cv_;
   mutable std::mutex held_mu_;
-  std::set<uint32_t> held_locks_;  // locks this host currently holds (probe answers)
+  std::set<uint32_t> held_locks_;  // locks this host currently holds (survey answers)
   mutable std::mutex lost_mu_;
   std::set<uint32_t> lost_minipages_;  // ids learned permanently lost
 

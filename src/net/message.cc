@@ -42,20 +42,12 @@ const char* MsgTypeName(MsgType t) {
       return "SHUTDOWN";
     case MsgType::kEpochBump:
       return "EPOCH_BUMP";
-    case MsgType::kCopysetQuery:
-      return "COPYSET_QUERY";
-    case MsgType::kCopysetReply:
-      return "COPYSET_REPLY";
-    case MsgType::kLockProbe:
-      return "LOCK_PROBE";
-    case MsgType::kLockProbeReply:
-      return "LOCK_PROBE_REPLY";
+    case MsgType::kSurvey:
+      return "SURVEY";
+    case MsgType::kSurveyReply:
+      return "SURVEY_REPLY";
     case MsgType::kFlushHint:
       return "FLUSH_HINT";
-    case MsgType::kBarrierProbe:
-      return "BARRIER_PROBE";
-    case MsgType::kBarrierProbeReply:
-      return "BARRIER_PROBE_REPLY";
   }
   return "UNKNOWN";
 }

@@ -55,17 +55,14 @@ enum class MsgType : uint8_t {
                     // clusters, wire-compatible with the original format) or
                     // one newly-dead host id per bump (>64-host clusters,
                     // one datagram per death)
-  kCopysetQuery,    // adopting shard asks "do you hold a copy?" (translated
-                    // geometry travels in the header, like a forward)
-  kCopysetReply,    // answer: pgsize = local Protection value for the id
-  kLockProbe,       // adopting shard asks "do you hold lock <minipage>?"
-  kLockProbeReply,  // answer: kFlagUpgrade set when the lock is held locally
+  kSurvey,          // adopting shard asks what this host holds of an id:
+                    // seq = SurveySubject, minipage = the id (a minipage's
+                    // translated geometry travels along, like a forward)
+  kSurveyReply,     // answer in pgsize: the local Protection of a minipage,
+                    // 1/0 for "holds the lock", or completed barrier rounds
   kFlushHint,       // self-addressed marker: "drain the coalescer now". Never
                     // crosses hosts; exists so single-stepped (sim) nodes get
                     // a poll wakeup while a batch is pending.
-  kBarrierProbe,       // adopting barrier shard asks "how many rounds have
-                       // you completed?"
-  kBarrierProbeReply,  // answer: pgsize = locally completed barrier rounds
 };
 
 const char* MsgTypeName(MsgType t);

@@ -213,7 +213,7 @@ TEST(Sharded, LrcLocksAndBarriers) {
 // Host 2 is both lock 2's shard (2 mod 3) and the barrier shard
 // (kBarrierShardId mod 3). It dies while host 0 holds the lock and host 1 is
 // queued waiting for it; the adopting shard must reconstruct the holder by
-// probing the live hosts, adopt the re-sent waiter, and hand the lock over on
+// surveying the live hosts, adopt the re-sent waiter, and hand the lock over on
 // release — then run a full barrier round for the two-host live quorum.
 TEST(Sharded, AdoptsDeadShardLockAndBarrierQueues) {
   DsmConfig cfg = ShardedCfg(3);
