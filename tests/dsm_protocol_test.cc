@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -122,14 +123,14 @@ TEST(Protocol, PrefetchAvoidsBlockingFault) {
   (*cluster)->RunParallel([&](DsmNode& node, HostId host) {
     if (host == 1) {
       node.Prefetch(p.addr());
-      // Give the asynchronous fetch time to land, then the access must not
-      // fault (the vpage is already readable).
-      for (int spin = 0; spin < 2000; ++spin) {
-        std::this_thread::yield();
-        const uint64_t vpage = p.addr().offset / 4096;
-        if (node.views().GetVpageProtection(p.addr().view, vpage) != Protection::kNoAccess) {
-          break;
-        }
+      // Wait for the asynchronous fetch to land (bounded by a deadline, not
+      // a spin count: sanitizer builds can take far longer), then the access
+      // must not fault (the vpage is already readable).
+      const uint64_t vpage = p.addr().offset / 4096;
+      const uint64_t deadline_ns = MonotonicNowNs() + 5'000'000'000ull;
+      while (node.views().GetVpageProtection(p.addr().view, vpage) == Protection::kNoAccess &&
+             MonotonicNowNs() < deadline_ns) {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
       }
       EXPECT_EQ(p[7], 77);
     }
