@@ -129,19 +129,8 @@ struct DsmConfig {
   // acquire — none is idempotent, so they fail rather than resend). 0 = no
   // deadline. The default matches the process-cluster watchdog sweep.
   uint64_t sync_timeout_ms = 120000;
-
-  // Retry pacing: attempt k of an idempotent fetch waits
-  //   request_timeout_ms * retry_backoff_base^k
-  // (capped at retry_backoff_max_ms) before re-sending, with a seeded
-  // uniform jitter of ±retry_jitter_pct percent so a cluster of hosts that
-  // timed out together does not re-fire in lockstep against the same
-  // recovering shard. base = 1.0 with jitter 0 reproduces the historical
-  // fixed-interval policy. The jitter stream is seeded from a fixed constant
-  // (DsmNode::kRetryJitterSeed) ^ host id, so a run's retry schedule is
-  // reproducible.
-  double retry_backoff_base = 2.0;
-  uint64_t retry_backoff_max_ms = 30000;
-  uint32_t retry_jitter_pct = 20;
+  // Retries pace out with seeded exponential backoff from
+  // request_timeout_ms; see DsmNode::RetryTimeoutMs.
 
   // History recorder (src/common/trace.h). When non-null, the node and its
   // ViewSet append protocol events to this sink for the offline checker.

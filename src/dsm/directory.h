@@ -38,6 +38,23 @@ struct Survey {
   HostSet pending;      // hosts yet to answer
 };
 
+// Queues request `h`, or, when its host already has an entry in `waiters`,
+// replaces that entry with `h`: a membership kick re-sends with a new (slot,
+// generation) seq, and an answer built from the stale queued header would be
+// discarded by the waiter as an abandoned attempt's reply — wedging it.
+// Queued headers were stripped of their epoch tag at receive time, so `from`
+// is a pure host id.
+template <typename Queue>
+void QueueOrRefresh(Queue& waiters, const MsgHeader& h) {
+  for (MsgHeader& w : waiters) {
+    if (w.from == h.from) {
+      w = h;
+      return;
+    }
+  }
+  waiters.push_back(h);
+}
+
 // Directory entry for one minipage.
 struct DirEntry {
   HostSet copyset;          // hosts holding a copy
@@ -117,45 +134,13 @@ struct LockEntry {
   // that is still live must be honored, not doubled. Acquires queue in
   // `waiters` while it is active.
   Survey survey;
-
-  bool HasWaiter(HostId h) const {
-    for (const MsgHeader& w : waiters) {
-      // Queued waiters were stripped of their epoch tag at receive time, so
-      // `from` is a pure host id — no WireCodec::Host() re-masking (which
-      // would alias ids ≥ 64).
-      if (w.from == h) {
-        return true;
-      }
-    }
-    return false;
-  }
-
-  // Collapses a re-sent acquire into its queued predecessor, keeping the
-  // freshest header: a membership kick re-sends with a new (slot, generation)
-  // seq, and a grant built from the stale queued header would be discarded by
-  // the waiter as an abandoned attempt's reply — wedging the lock. Returns
-  // false if `h.from` was not queued (the caller pushes the header instead).
-  bool RefreshWaiter(const MsgHeader& h) {
-    for (MsgHeader& w : waiters) {
-      if (w.from == h.from) {
-        w = h;
-        return true;
-      }
-    }
-    return false;
-  }
 };
 
 struct BarrierState {
   uint32_t generation = 0;
-  // Arrival count, used by the LRC variant's fixed-membership barrier. The
-  // DSM barrier keeps it equal to arrived_set's size through
-  // Directory::CountBarrierArrivals.
-  uint32_t arrived = 0;
-  // Arrival set, used by the DSM barrier: duplicate entries (post-failover
-  // re-sends) collapse instead of double-counting, and release re-evaluates
-  // against the live-host set when membership shrinks.
-  HostSet arrived_set;
+  // Entrants of the open round(s), at most one per host (the DSM barrier
+  // collapses post-failover re-sends with QueueOrRefresh); release
+  // re-evaluates against the live-host set when membership shrinks.
   std::vector<MsgHeader> waiters;
   // Round survey of an adopted barrier: live hosts' completed-round counts
   // seed `generation` after the original barrier shard died.
@@ -194,21 +179,10 @@ class Directory {
     gauges_.in_service.store(on ? n + 1 : n - 1, std::memory_order_relaxed);
   }
 
-  // Re-derives the barrier's arrival count from its arrival set.
+  // Publishes the barrier's arrival count; call after changing its waiters.
   void CountBarrierArrivals() {
-    barrier_.arrived = static_cast<uint32_t>(barrier_.arrived_set.Count());
-    gauges_.barrier_arrived.store(barrier_.arrived, std::memory_order_relaxed);
-  }
-
-  // Replaces the queued barrier entrants, re-deriving the arrival set and
-  // count from them.
-  void SetBarrierWaiters(std::vector<MsgHeader> waiters) {
-    barrier_.arrived_set.Clear();
-    for (const MsgHeader& w : waiters) {
-      barrier_.arrived_set.Add(w.from);
-    }
-    barrier_.waiters = std::move(waiters);
-    CountBarrierArrivals();
+    gauges_.barrier_arrived.store(static_cast<uint32_t>(barrier_.waiters.size()),
+                                  std::memory_order_relaxed);
   }
 
   // The survey of (subject, id); the barrier's id is kBarrierShardId.

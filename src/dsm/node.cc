@@ -562,9 +562,9 @@ uint64_t DsmNode::RetryTimeoutMs(const DsmConfig& cfg, HostId host, uint32_t att
     return 0;  // no deadline configured: wait forever, no pacing
   }
   double scaled = static_cast<double>(base);
-  const double cap = static_cast<double>(cfg.retry_backoff_max_ms);
+  const double cap = static_cast<double>(kRetryBackoffMaxMs);
   for (uint32_t k = 0; k < attempt && scaled < cap; ++k) {
-    scaled *= cfg.retry_backoff_base;
+    scaled *= kRetryBackoffBase;
   }
   if (scaled > cap) {
     scaled = cap;
@@ -576,15 +576,13 @@ uint64_t DsmNode::RetryTimeoutMs(const DsmConfig& cfg, HostId host, uint32_t att
     // no-retry path at its configured latency budget.
     return ms < 1 ? 1 : ms;
   }
-  if (cfg.retry_jitter_pct > 0) {
-    // A fresh, deterministically seeded stream per (host, attempt): the
-    // schedule is reproducible yet decorrelated across hosts, so a cluster
-    // that timed out together does not re-fire in lockstep.
-    Rng rng(kRetryJitterSeed ^ (static_cast<uint64_t>(host) << 32) ^ attempt);
-    const uint64_t span = ms * cfg.retry_jitter_pct / 100;
-    if (span > 0) {
-      ms = ms - span + rng.Below(2 * span + 1);
-    }
+  // A fresh, deterministically seeded stream per (host, attempt): the
+  // schedule is reproducible yet decorrelated across hosts, so a cluster
+  // that timed out together does not re-fire in lockstep.
+  Rng rng(kRetryJitterSeed ^ (static_cast<uint64_t>(host) << 32) ^ attempt);
+  const uint64_t span = ms * kRetryJitterPct / 100;
+  if (span > 0) {
+    ms = ms - span + rng.Below(2 * span + 1);
   }
   return ms < 1 ? 1 : ms;
 }
@@ -1407,20 +1405,9 @@ void DsmNode::MgrHandleBarrierEnter(const MsgHeader& h) {
     ReleaseBarrierBelow(b.generation, {h});
     return;
   }
-  if (!b.arrived_set.Contains(h.from)) {
-    b.arrived_set.Add(h.from);
-    b.waiters.push_back(h);
-  } else {
-    // Post-failover re-send from an already-arrived host: collapse the
-    // duplicate, but keep the freshest header so the release answers the
-    // newest attempt's (slot, generation).
-    for (MsgHeader& w : b.waiters) {
-      if (w.from == h.from) {
-        w = h;
-        break;
-      }
-    }
-  }
+  // A post-failover re-send from an already-arrived host collapses into its
+  // entry instead of double-counting.
+  QueueOrRefresh(b.waiters, h);
   directory_->CountBarrierArrivals();
   MaybeReleaseBarrier();
 }
@@ -1449,7 +1436,13 @@ void DsmNode::MaybeReleaseBarrier() {
   if (b.waiters.empty()) {
     return;
   }
-  if (!b.arrived_set.ContainsAll(live_set())) {
+  HostSet arrived;
+  uint32_t min_gen = ~0u;
+  for (const MsgHeader& w : b.waiters) {
+    arrived.Add(w.from);
+    min_gen = std::min(min_gen, w.pgsize);
+  }
+  if (!arrived.ContainsAll(live_set())) {
     return;  // a live host is still computing (dead hosts no longer count)
   }
   // Release the *oldest* round only, and each waiter with its own expected
@@ -1457,11 +1450,8 @@ void DsmNode::MaybeReleaseBarrier() {
   // mixed generations — a host the dead shard released mid-round is already
   // at round k+1 while a straggler re-sends round k; the straggler's arrival
   // at k implies everyone reached k, but the k+1 entrant must stay queued.
-  uint32_t min_gen = ~0u;
-  for (const MsgHeader& w : b.waiters) {
-    min_gen = std::min(min_gen, w.pgsize);
-  }
-  directory_->SetBarrierWaiters(ReleaseBarrierBelow(min_gen + 1, std::move(b.waiters)));
+  b.waiters = ReleaseBarrierBelow(min_gen + 1, std::move(b.waiters));
+  directory_->CountBarrierArrivals();
   b.generation = min_gen + 1;
 }
 
@@ -1482,9 +1472,7 @@ void DsmNode::MgrHandleLockAcquire(const MsgHeader& h) {
   // Queue the acquire. While the adoption survey is active it waits even for
   // a free lock: a grant issued by the dead shard must be honored, not
   // doubled. A free lock has no other waiter, so the grant below goes to `h`.
-  if (!l.RefreshWaiter(h)) {
-    l.waiters.push_back(h);
-  }
+  QueueOrRefresh(l.waiters, h);
   if (!l.held && !l.survey.active) {
     GrantNextWaiter(h.minipage);
   }
@@ -1941,9 +1929,7 @@ void DsmNode::RepairAfterDeath(HostId dead) {
       continue;
     }
     // Requests the dead host queued will never be consumed: purge them.
-    for (auto it = e.pending.begin(); it != e.pending.end();) {
-      it = (it->from == dead) ? e.pending.erase(it) : std::next(it);
-    }
+    std::erase_if(e.pending, [dead](const MsgHeader& r) { return r.from == dead; });
     const bool had_copy = e.HasCopy(dead);
     if (had_copy) {
       e.RemoveCopy(dead);
@@ -2024,9 +2010,7 @@ void DsmNode::RepairAfterDeath(HostId dead) {
   // Locks: free anything the dead host held or queued for.
   for (uint32_t lock_id = 0; lock_id < directory_->num_locks(); ++lock_id) {
     LockEntry& l = directory_->Lock(lock_id);
-    for (auto it = l.waiters.begin(); it != l.waiters.end();) {
-      it = (it->from == dead) ? l.waiters.erase(it) : std::next(it);
-    }
+    std::erase_if(l.waiters, [dead](const MsgHeader& w) { return w.from == dead; });
     if (l.held && l.holder == dead) {
       Trace(TraceEventKind::kLockRelease, lock_id, 0, dead);
       if (l.survey.active) {
@@ -2045,14 +2029,9 @@ void DsmNode::RepairAfterDeath(HostId dead) {
     }
   }
   // Barrier: the dead host no longer counts toward (or blocks) release.
-  BarrierState& b = directory_->barrier();
-  if (b.arrived_set.Contains(dead)) {
-    b.arrived_set.Remove(dead);
-    for (auto it = b.waiters.begin(); it != b.waiters.end();) {
-      it = (it->from == dead) ? b.waiters.erase(it) : std::next(it);
-    }
-    directory_->CountBarrierArrivals();
-  }
+  std::erase_if(directory_->barrier().waiters,
+                [dead](const MsgHeader& w) { return w.from == dead; });
+  directory_->CountBarrierArrivals();
   MaybeReleaseBarrier();
 }
 
@@ -2254,7 +2233,8 @@ void DsmNode::FinishSurvey(SurveySubject what, uint32_t id) {
       // release their stragglers now — the hosts released back then may
       // never re-enter.
       BarrierState& b = directory_->barrier();
-      directory_->SetBarrierWaiters(ReleaseBarrierBelow(b.generation, std::move(b.waiters)));
+      b.waiters = ReleaseBarrierBelow(b.generation, std::move(b.waiters));
+      directory_->CountBarrierArrivals();
       MaybeReleaseBarrier();
       return;
     }

@@ -175,9 +175,8 @@ class DsmNode {
   // (readers may just observe a superseded snapshot).
   const HostSet& dead_set() const { return membership().dead; }
   const HostSet& live_set() const { return membership().live; }
-  // Legacy mask accessors (hosts 0..63 only) for diagnostics and tests.
+  // Legacy mask accessor (hosts 0..63 only) for diagnostics and tests.
   uint64_t dead_mask() const { return dead_set().LowWord(); }
-  uint64_t live_mask() const { return live_set().LowWord(); }
   // True when a peer death is answered with epoch-bump recovery instead of
   // the sticky whole-cluster abort: any sharded directory. A dead host 0 is
   // always unrecoverable (it owns the MPT and allocator).
@@ -198,12 +197,16 @@ class DsmNode {
   bool ProcessPendingDeaths();
 
   // Per-attempt reply deadline for idempotent-fetch attempt `attempt`
-  // (0-based): request_timeout_ms * retry_backoff_base^attempt, capped at
-  // retry_backoff_max_ms, with ±retry_jitter_pct% jitter drawn from a stream
-  // seeded by kRetryJitterSeed ^ host ^ attempt. Pure function of
-  // (cfg, host, attempt) so a run's retry schedule is reproducible; exposed
-  // for tests.
+  // (0-based): request_timeout_ms * kRetryBackoffBase^attempt, capped at
+  // kRetryBackoffMaxMs, with ±kRetryJitterPct% jitter drawn from a stream
+  // seeded by kRetryJitterSeed ^ host ^ attempt. The jitter keeps a cluster
+  // of hosts that timed out together from re-firing in lockstep against the
+  // same recovering shard. Pure function of (cfg, host, attempt) so a run's
+  // retry schedule is reproducible; exposed for tests.
   static uint64_t RetryTimeoutMs(const DsmConfig& cfg, HostId host, uint32_t attempt);
+  static constexpr double kRetryBackoffBase = 2.0;
+  static constexpr uint64_t kRetryBackoffMaxMs = 30000;
+  static constexpr uint32_t kRetryJitterPct = 20;
   static constexpr uint64_t kRetryJitterSeed = 0x9e3779b97f4a7c15ULL;
 
   // True once this host has learned minipage `id` is permanently lost.
@@ -227,15 +230,10 @@ class DsmNode {
   HistogramSnapshot write_fault_latency() const {
     return metrics_.histogram(Hist::kWriteFaultNs).Snapshot();
   }
-  // Bitmask of peers this node has observed down (hosts 0..63 only — use
-  // peers_down_set() for the full set on large clusters).
+  // Bitmask of peers this node has observed down (hosts 0..63 only).
   uint64_t peers_down() const {
     std::lock_guard<std::mutex> lock(peer_down_mu_);
     return peer_down_.LowWord();
-  }
-  HostSet peers_down_set() const {
-    std::lock_guard<std::mutex> lock(peer_down_mu_);
-    return peer_down_;
   }
 
   // One-line snapshot of liveness state (peers down, retry counts, manager

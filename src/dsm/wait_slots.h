@@ -172,14 +172,11 @@ class WaitSlots {
     sem_post(&s.sem);
   }
 
-  // Deterministic-simulation gate. Between HoldWakeups and ReleaseWakeups,
-  // Post and KickAll still queue their replies and kicks but post no wake
-  // token, so no parked thread resumes while the simulator's driver is in the
-  // middle of a step. Without it, a reply posted early in a step (recovery
-  // answering a host's own queued request) lets the woken thread run — send,
-  // re-park, be kicked or not — concurrently with the rest of the step, and
-  // the schedule stops being a function of the seed. Threaded nodes never
-  // hold.
+  // Deterministic-simulation gate: between HoldWakeups and ReleaseWakeups,
+  // Post and KickAll queue their replies and kicks but post no wake token,
+  // so no parked thread runs concurrently with the rest of a simulator step
+  // (which would make the schedule depend on thread timing, not the seed).
+  // Threaded nodes never hold.
   void HoldWakeups() { held_.store(true, std::memory_order_relaxed); }
   void ReleaseWakeups() {
     held_.store(false, std::memory_order_relaxed);

@@ -396,9 +396,8 @@ void LrcNode::MgrHandleAlloc(const MsgHeader& h) {
 
 void LrcNode::MgrHandleBarrierEnter(const MsgHeader& h) {
   BarrierState& b = directory_->barrier();
-  b.arrived++;
   b.waiters.push_back(h);
-  if (b.arrived < config_.num_hosts) {
+  if (b.waiters.size() < config_.num_hosts) {
     return;
   }
   for (const MsgHeader& w : b.waiters) {
@@ -408,7 +407,6 @@ void LrcNode::MgrHandleBarrierEnter(const MsgHeader& h) {
     SendMsg(w.from, release);
   }
   b.generation++;
-  b.arrived = 0;
   b.waiters.clear();
 }
 

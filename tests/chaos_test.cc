@@ -212,26 +212,24 @@ TEST(Chaos, DroppedFetchReplyRecoversByRetry) {
 // ---- Retry pacing: exponential backoff with seeded jitter ------------------
 
 // The schedule is a pure function of (config, host, attempt): attempt 0 is
-// the configured timeout exactly, later attempts grow by retry_backoff_base
-// within ±retry_jitter_pct, the cap bounds every attempt, and the same seed
-// always reproduces the same schedule.
+// the configured timeout exactly, later attempts double within
+// ±kRetryJitterPct, the kRetryBackoffMaxMs cap bounds every attempt, and the
+// same seed always reproduces the same schedule.
 TEST(Chaos, RetryBackoffScheduleIsExponentialSeededAndCapped) {
   DsmConfig cfg;
   cfg.request_timeout_ms = 100;
-  cfg.retry_backoff_base = 2.0;
-  cfg.retry_backoff_max_ms = 1000;
-  cfg.retry_jitter_pct = 20;
 
   // Attempt 0 carries no jitter: the common no-retry path keeps its exact
   // configured latency budget.
   EXPECT_EQ(DsmNode::RetryTimeoutMs(cfg, 0, 0), 100u);
   EXPECT_EQ(DsmNode::RetryTimeoutMs(cfg, 5, 0), 100u);
 
-  // Later attempts double, give or take the jitter band, until the cap.
+  // Later attempts double, give or take the jitter band, until the cap
+  // (100 ms doubles past 30 s at attempt 9).
   uint64_t expected = 100;
-  for (uint32_t attempt = 1; attempt <= 6; ++attempt) {
-    expected = std::min<uint64_t>(expected * 2, cfg.retry_backoff_max_ms);
-    const uint64_t span = expected * cfg.retry_jitter_pct / 100;
+  for (uint32_t attempt = 1; attempt <= 10; ++attempt) {
+    expected = std::min<uint64_t>(expected * 2, DsmNode::kRetryBackoffMaxMs);
+    const uint64_t span = expected * DsmNode::kRetryJitterPct / 100;
     for (HostId host = 0; host < 8; ++host) {
       const uint64_t ms = DsmNode::RetryTimeoutMs(cfg, host, attempt);
       EXPECT_GE(ms, expected - span) << "host " << host << " attempt " << attempt;
@@ -249,26 +247,18 @@ TEST(Chaos, RetryBackoffScheduleIsExponentialSeededAndCapped) {
     differs = DsmNode::RetryTimeoutMs(cfg, host, 1) != h0;
   }
   EXPECT_TRUE(differs) << "every host retries at the same instant";
-
-  // base = 1.0 with jitter 0 reproduces the historical fixed interval.
-  cfg.retry_backoff_base = 1.0;
-  cfg.retry_jitter_pct = 0;
-  for (uint32_t attempt = 0; attempt < 4; ++attempt) {
-    EXPECT_EQ(DsmNode::RetryTimeoutMs(cfg, 3, attempt), 100u);
-  }
 }
 
 // Failure-driven proof of the spacing: with two consecutive data replies
 // dropped, the fault path must wait out attempt 0's full window, then
-// attempt 1's doubled window, before the third send succeeds — so the
-// end-to-end latency is bounded below by the sum of the first two windows.
+// attempt 1's doubled (and jittered) window, before the third send succeeds —
+// so the end-to-end latency is bounded below by the sum of the first two
+// windows, which RetryTimeoutMs gives exactly for this host.
 TEST(Chaos, DroppedRepliesBackOffBeforeEachResend) {
   DsmConfig cfg = ChaosConfig(2);
   cfg.enable_ack = false;  // retries need the manager to re-serve (see above)
   cfg.request_timeout_ms = 100;
   cfg.max_request_retries = 3;
-  cfg.retry_backoff_base = 2.0;
-  cfg.retry_jitter_pct = 0;  // deterministic spacing for the timing assert
   FaultyPair pair(cfg);
 
   Result<GlobalAddr> addr = pair.n0->SharedMalloc(32 * sizeof(int));
@@ -286,7 +276,7 @@ TEST(Chaos, DroppedRepliesBackOffBeforeEachResend) {
   EXPECT_EQ(pair.t1.receives_dropped(), 2u);
   EXPECT_EQ(pair.n1->counter(Metric::kTimeoutRetries), 2u);
   const uint64_t floor_ms = DsmNode::RetryTimeoutMs(cfg, 1, 0) +
-                            DsmNode::RetryTimeoutMs(cfg, 1, 1);  // 100 + 200
+                            DsmNode::RetryTimeoutMs(cfg, 1, 1);  // 100 + 200 ± 20%
   EXPECT_GE(elapsed_ms, floor_ms - 2) << "retries fired faster than the backoff";
   EXPECT_LT(elapsed_ms, kDetectBudgetMs);
   const int* data1 = reinterpret_cast<const int*>(pair.n1->AppPtr(*addr));
