@@ -41,8 +41,9 @@ enum class TraceEventKind : uint8_t {
   kEpochBump,       // host adopted a membership epoch (arg1 = epoch,
                     // arg2 = newly-dead host id + 1, one event per death;
                     // arg2 = 0 when the epoch advanced with no new deaths)
-  kMinipageLost,    // owning shard degraded a minipage whose sole copy died
-                    // (arg1 = dead host)
+  kMinipageLost,    // owning shard degraded a minipage whose last copy is
+                    // gone (arg1 = the dead or renouncing last holder; 0
+                    // when an adoption survey found no copy)
 };
 
 const char* TraceEventKindName(TraceEventKind k);

@@ -29,6 +29,14 @@ namespace millipage {
 // the `seq` field, which no thread waits on.
 enum class SurveySubject : uint32_t { kMinipage, kLock, kBarrier };
 
+// The subject survey message `h` names. The field comes off the wire, so a
+// value no sender produces is fatal rather than misread as some other id.
+inline SurveySubject SurveySubjectOf(const MsgHeader& h) {
+  MP_CHECK(h.seq <= static_cast<uint32_t>(SurveySubject::kBarrier))
+      << "survey message with unknown subject " << h.seq;
+  return static_cast<SurveySubject>(h.seq);
+}
+
 // Adoption survey (see DsmNode::StartSurvey): the shard that adopts an id
 // from a dead shard asks every live host what it holds of the id before
 // serving it. Requests for the id queue meanwhile.
@@ -95,8 +103,9 @@ struct DirEntry {
   // active.
   Survey survey;
   // Every copy of the minipage is gone (its sole copy died with its host, or
-  // its last holder renounced it): the id is permanently degraded. Requests are answered with a per-minipage
-  // error (kFlagAbort data reply), never served — and never a cluster abort.
+  // its last holder renounced it): the id is permanently degraded. Requests
+  // are answered with a per-minipage error (kFlagAbort data reply), never
+  // served — and never a cluster abort.
   bool lost = false;
 
   // Host ids come off the wire, so a corrupt id must fail loudly instead of

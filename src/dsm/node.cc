@@ -1473,7 +1473,7 @@ void DsmNode::MgrHandleLockAcquire(const MsgHeader& h) {
   // a free lock: a grant issued by the dead shard must be honored, not
   // doubled. A free lock has no other waiter, so the grant below goes to `h`.
   QueueOrRefresh(l.waiters, h);
-  if (!l.held && !l.survey.active) {
+  if (!l.held) {
     GrantNextWaiter(h.minipage);
   }
 }
@@ -1490,17 +1490,13 @@ void DsmNode::MgrHandleLockRelease(const MsgHeader& h) {
     MP_CHECK(l.held && l.holder == h.from) << "unlock by non-holder";
   }
   Trace(TraceEventKind::kLockRelease, h.minipage, 0, h.from);
-  if (l.survey.active) {
-    l.held = false;  // grant deferred until the survey finishes
-    return;
-  }
   GrantNextWaiter(h.minipage);
 }
 
 void DsmNode::GrantNextWaiter(uint32_t lock_id) {
   LockEntry& l = directory_->Lock(lock_id);
-  if (l.waiters.empty()) {
-    l.held = false;
+  if (l.waiters.empty() || l.survey.active) {
+    l.held = false;  // an active survey's finish grants instead
     return;
   }
   MsgHeader next = l.waiters.front();
@@ -2013,11 +2009,7 @@ void DsmNode::RepairAfterDeath(HostId dead) {
     std::erase_if(l.waiters, [dead](const MsgHeader& w) { return w.from == dead; });
     if (l.held && l.holder == dead) {
       Trace(TraceEventKind::kLockRelease, lock_id, 0, dead);
-      if (l.survey.active) {
-        l.held = false;  // the survey's finish grants
-      } else {
-        GrantNextWaiter(lock_id);
-      }
+      GrantNextWaiter(lock_id);
     }
   }
   // Surveys: the dead host will never answer.
@@ -2143,7 +2135,7 @@ MsgHeader DsmNode::SurveyReply(const MsgHeader& q) const {
   MsgHeader reply = q;
   reply.set_type(MsgType::kSurveyReply);
   reply.from = me_;
-  switch (static_cast<SurveySubject>(q.seq)) {
+  switch (SurveySubjectOf(q)) {
     case SurveySubject::kMinipage:
       reply.pgsize = static_cast<uint32_t>(views_->GetProtection(MinipageFromHeader(q)));
       break;
@@ -2157,14 +2149,12 @@ MsgHeader DsmNode::SurveyReply(const MsgHeader& q) const {
       reply.pgsize = epoch_;
       break;
     }
-    default:
-      MP_LOG(Fatal) << "survey with unknown subject " << q.seq;
   }
   return reply;
 }
 
 void DsmNode::MgrHandleSurveyReply(const MsgHeader& h) {
-  const auto what = static_cast<SurveySubject>(h.seq);
+  const SurveySubject what = SurveySubjectOf(h);
   Survey& s = directory_->SurveyOf(what, h.minipage);
   if (!s.active) {
     return;  // stale (survey already finished)

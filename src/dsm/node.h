@@ -302,7 +302,8 @@ class DsmNode {
   void MgrHandleBarrierEnter(const MsgHeader& h);
   void MgrHandleLockAcquire(const MsgHeader& h);
   void MgrHandleLockRelease(const MsgHeader& h);
-  // Hands the lock to its oldest waiter, or frees it when nobody waits.
+  // Hands the lock to its oldest waiter, or frees it when nobody waits or
+  // its adoption survey is still active.
   void GrantNextWaiter(uint32_t lock_id);
   // Releases every entrant in `entrants` whose round (pgsize) is below
   // `gen`, each stamped with its own round; returns the rest.
@@ -371,8 +372,8 @@ class DsmNode {
   // Answers a request for a lost minipage with a kFlagAbort data reply.
   void ReplyLost(const MsgHeader& h);
   // Degrades minipage `id` for good: counts and traces the loss (arg1 =
-  // `cause`, the host whose copy was the last) and answers its queued
-  // requests with the lost verdict.
+  // `cause`, the host whose copy was the last, or 0 when an adoption survey
+  // found none) and answers its queued requests with the lost verdict.
   void MarkLost(MinipageId id, HostId cause);
   // Adoption survey (see node.cc): `h` is the request that found the id
   // adopted; a minipage's carries its translated geometry.

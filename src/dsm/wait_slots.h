@@ -164,8 +164,7 @@ class WaitSlots {
     {
       std::lock_guard<std::mutex> lock(s.mu);
       s.replies.push_back(reply);
-      if (held_.load(std::memory_order_relaxed)) {
-        s.held_wakes++;
+      if (DeferWake(s)) {
         return;
       }
     }
@@ -176,7 +175,8 @@ class WaitSlots {
   // Post and KickAll queue their replies and kicks but post no wake token,
   // so no parked thread runs concurrently with the rest of a simulator step
   // (which would make the schedule depend on thread timing, not the seed).
-  // Threaded nodes never hold.
+  // Hold and release on the thread that posts (the simulator's driver);
+  // threaded nodes never hold.
   void HoldWakeups() { held_.store(true, std::memory_order_relaxed); }
   void ReleaseWakeups() {
     held_.store(false, std::memory_order_relaxed);
@@ -220,17 +220,13 @@ class WaitSlots {
   // membership immediately instead of waiting out their full timeout.
   void KickAll(Status status) {
     for (auto& s : slots_) {
-      bool wake;
+      bool wake = false;
       {
         std::lock_guard<std::mutex> lock(s.mu);
-        const bool parked = s.in_wait && s.replies.empty();
-        if (parked) {
+        if (s.in_wait && s.replies.empty()) {
           s.kicked = status;
           s.has_kick = true;
-        }
-        wake = parked && !held_.load(std::memory_order_relaxed);
-        if (parked && !wake) {
-          s.held_wakes++;
+          wake = !DeferWake(s);
         }
       }
       if (wake) {
@@ -271,6 +267,16 @@ class WaitSlots {
     Status kicked;          // guarded by mu; status that wake reports
     uint32_t held_wakes = 0;  // guarded by mu; tokens deferred by HoldWakeups
   };
+
+  // With s.mu held: while wakeups are held, counts one deferred wake token
+  // for ReleaseWakeups and returns true (the caller posts none).
+  bool DeferWake(Slot& s) {
+    if (!held_.load(std::memory_order_relaxed)) {
+      return false;
+    }
+    s.held_wakes++;
+    return true;
+  }
 
   // Clears in_wait on a non-reply exit from WaitFor.
   static Status LeaveWait(Slot& s, Status status) {

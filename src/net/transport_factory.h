@@ -1,5 +1,5 @@
 // Compatibility shim: SocketTransport is the only mesh transport (DESIGN.md
-// §12). perfbench/bench.cc still includes this header and names
+// §11). perfbench/bench.cc still includes this header and names
 // DsmConfig::transport_backend, TransportBackend::kUring and
 // UringTransportSupported() in its "# config" line, so those names stay, as
 // constants, until perfbench drops them.

@@ -308,5 +308,16 @@ TEST(Sharded, RejectsMoreThanMaxHosts) {
   EXPECT_EQ(cluster.status().code(), StatusCode::kInvalidArgument);
 }
 
+// A survey's subject travels in `seq`; a corrupt value must not be misread
+// as a survey about some other id.
+TEST(ShardedDeathTest, SurveyWithUnknownSubjectDies) {
+  MsgHeader h;
+  h.set_type(MsgType::kSurveyReply);
+  h.seq = static_cast<uint32_t>(SurveySubject::kBarrier);
+  EXPECT_EQ(SurveySubjectOf(h), SurveySubject::kBarrier);
+  h.seq = kNoWaitSlot;
+  EXPECT_DEATH((void)SurveySubjectOf(h), "unknown subject");
+}
+
 }  // namespace
 }  // namespace millipage

@@ -154,9 +154,10 @@ TEST(SimSweepSharded, SameSeedSameHistory) {
     EXPECT_EQ(a.FormattedHistory(), b.FormattedHistory()) << "seed " << seed;
   }
   // An 8-host kill schedule whose recovery answers a survivor's own queued
-  // request with a lost verdict. Before the driver held wakeups for a whole
-  // step, the woken worker raced the remaining survivors' recovery and this
-  // seed replayed as several different histories; repeat it to pin that down.
+  // request with a lost verdict. That survivor's worker must stay parked
+  // until the driver's step ends; if it woke mid-step it would race the
+  // remaining survivors' recovery and the seed would replay as several
+  // histories. Repeat it to catch that.
   SimWorkload kill = w;
   kill.hosts = 8;
   kill.cells = 4;
