@@ -66,6 +66,8 @@ namespace millipage {
   C(kMinipagesLost, "dsm.minipages_lost", "minipages whose only copy died with its host")      \
   C(kRequestsServed, "mgr.requests_served", "requests this shard took into service")           \
   C(kInvalidationRounds, "mgr.invalidation_rounds", "invalidation rounds this shard ran")      \
+  C(kFirstTouchMigrations, "mgr.first_touch_migrations",                                      \
+    "reads that took a never-shared minipage's sole copy instead of replicating it")           \
   C(kMptLookups, "mgr.mpt_lookups", "MPT translations (host 0 only)")                          \
   C(kRemoteRouted, "mgr.remote_routed",                                                        \
     "translated requests handed to another host's shard (host 0, sharded only)")               \

@@ -67,6 +67,11 @@ void QueueOrRefresh(Queue& waiters, const MsgHeader& h) {
 struct DirEntry {
   HostSet copyset;          // hosts holding a copy
   bool writable = false;    // single copyset member holds ReadWrite
+  // Seeded at allocation (or at a sharded shard's lazy bootstrap) and cleared
+  // by the first grant of any kind: while set, a read request takes the sole
+  // copy instead of replicating it (first-touch migration, see
+  // DsmNode::MgrProcessRead). An entry rebuilt by a survey starts clear.
+  bool never_granted = false;
   // A request is being serviced (until ACK). Written only through
   // Directory::SetInService, which keeps the in-service gauge in step.
   bool in_service = false;

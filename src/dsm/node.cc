@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "src/common/failpoint.h"
 #include "src/common/logging.h"
@@ -1075,6 +1076,7 @@ void DsmNode::MgrStartService(MsgHeader h) {
     }
     e.copyset = HostSet::Single(kManagerHost);
     e.writable = true;
+    e.never_granted = true;
   }
   metrics_.Inc(Metric::kRequestsServed);
   if (e.in_service) {
@@ -1098,9 +1100,11 @@ void DsmNode::MgrStartService(MsgHeader h) {
 
 void DsmNode::MgrProcess(const MsgHeader& h) {
   DirEntry& e = directory_->Entry(h.minipage);
+  // Whatever this request is granted ends the minipage's never-shared state.
+  const bool first_grant = std::exchange(e.never_granted, false);
   switch (h.msg_type()) {
     case MsgType::kReadRequest:
-      MgrProcessRead(h, e);
+      MgrProcessRead(h, e, first_grant);
       break;
     case MsgType::kWriteRequest:
       MgrProcessWrite(h, e);
@@ -1113,7 +1117,7 @@ void DsmNode::MgrProcess(const MsgHeader& h) {
   }
 }
 
-void DsmNode::MgrProcessRead(const MsgHeader& h, DirEntry& e) {
+void DsmNode::MgrProcessRead(const MsgHeader& h, DirEntry& e, bool first_grant) {
   MP_CHECK(!e.copyset.Empty()) << "minipage with empty copyset";
   if (e.CopyCount() == 1 && e.HasCopy(h.from)) {
     // Requester already holds the only copy (prefetch/fault race): grant
@@ -1126,6 +1130,19 @@ void DsmNode::MgrProcessRead(const MsgHeader& h, DirEntry& e) {
     if (!config_.enable_ack) {
       MgrFinishService(h.minipage);
     }
+    return;
+  }
+  if (first_grant && config_.enable_ack && (h.flags & kFlagPrefetch) == 0) {
+    // First-touch migration: nobody has been granted this minipage since
+    // allocation, so its first reader takes the sole copy ReadWrite, as a
+    // write transfer closed by the requester's ACK. The distribution pass
+    // that opens every app then costs one fault per minipage instead of a
+    // read fault plus an upgrade that invalidates the allocator's copy.
+    // Prefetches still replicate: their issuer fetches to read alongside.
+    metrics_.Inc(Metric::kFirstTouchMigrations);
+    MsgHeader w = h;
+    w.set_type(MsgType::kWriteRequest);
+    MgrProcessWrite(w, e);
     return;
   }
   const HostId replica = e.PickReplica(h.from, replica_rotation_++);
@@ -1163,6 +1180,7 @@ void DsmNode::MgrProcessWrite(const MsgHeader& h, DirEntry& e) {
   others.Remove(h.from);
   e.copyset = HostSet::Single(h.from);
   e.writable = true;
+  e.write_remaining = remaining;  // a bounced forward goes back to the same host
   if (others.Empty()) {
     MP_CHECK(remaining != h.from);
     Trace(TraceEventKind::kMgrWriteGrant, h.minipage, h.addr, h.from,
@@ -1181,7 +1199,6 @@ void DsmNode::MgrProcessWrite(const MsgHeader& h, DirEntry& e) {
   // invalidations a host that dies mid-round will never answer.
   e.write_pending = true;
   e.pending_write = h;
-  e.write_remaining = remaining;
   e.invalidates_pending.Clear();
   metrics_.Inc(Metric::kInvalidationRounds);
   const HostSet& live = live_set();
@@ -1373,6 +1390,7 @@ void DsmNode::MgrHandleAlloc(const MsgHeader& h) {
     if (e.copyset.Empty()) {
       e.copyset = HostSet::Single(kManagerHost);
       e.writable = true;
+      e.never_granted = true;
     }
     // Cover newly added vpages of a growing chunk; safe because chunks close
     // on any non-alloc traffic, so a growing minipage is still manager-held.

@@ -288,7 +288,8 @@ class DsmNode {
   void ForwardToReplica(HostId target, const MsgHeader& fwd);
   void MgrStartService(MsgHeader h);
   void MgrProcess(const MsgHeader& h);
-  void MgrProcessRead(const MsgHeader& h, DirEntry& e);
+  // `first_grant`: `e` had never been granted before this request.
+  void MgrProcessRead(const MsgHeader& h, DirEntry& e, bool first_grant);
   void MgrProcessWrite(const MsgHeader& h, DirEntry& e);
   void MgrProcessPush(const MsgHeader& h, DirEntry& e);
   void MgrHandleBounced(const MsgHeader& h);

@@ -355,10 +355,12 @@ TEST(Chaos, DuplicateInvalidateReplyIsAbsorbedByManager) {
     data0[i] = 6100 + i;
   }
 
-  // Host 1 takes a read copy, so host 2's upcoming write runs an
-  // invalidation round: the manager keeps one replica as the data source and
-  // invalidates the other (which of {0, 1} depends on the replica rotation).
+  // Host 1's first touch takes the sole copy and host 0 reads it back, so
+  // host 2's upcoming write runs an invalidation round: the manager keeps one
+  // replica as the data source and invalidates the other (which of {0, 1}
+  // depends on the replica rotation).
   ASSERT_TRUE(n1.OnFault(addr->view, addr->offset, /*is_write=*/false));
+  ASSERT_TRUE(n0.OnFault(addr->view, addr->offset, /*is_write=*/false));
 
   // Whoever replies, the manager hears the invalidate reply twice.
   trio.t0.DuplicateReceives(kAnyHost, MsgType::kInvalidateReply, 1);
