@@ -91,64 +91,64 @@ void CheckShape(const Shape& shape) {
 TEST(SimGolden, CentralizedSweep) {
   CheckShape({"centralized sweep", Sweep(ManagerPolicy::kCentralized), 1,
               {
-                  0x8c1a3eb9afe1a1e9ull,  // seed 1
+                  0xc8037fcc3edfe5b3ull,  // seed 1
                   0x94bacc99474cd237ull,  // seed 2
                   0xf73749ab224ab490ull,  // seed 3
-                  0xa5c9fcfd11f1a55aull,  // seed 4
-                  0x2cad18a9b9eab8a7ull,  // seed 5
-                  0xa6d2812b1fda1861ull,  // seed 6
-                  0x68e237e3be31ad97ull,  // seed 7
-                  0xdfe0ad5f208be393ull,  // seed 8
+                  0x6e80f49b3f91e0f8ull,  // seed 4
+                  0x3c4808eff346ee7full,  // seed 5
+                  0x62d04f7699f0ab4full,  // seed 6
+                  0x937e5ec900038053ull,  // seed 7
+                  0xa65c5a17a0e8e5f3ull,  // seed 8
                   0x95e8284a9dd142a9ull,  // seed 9
-                  0x199f871fb5251993ull,  // seed 10
+                  0xa8f55a2077591c38ull,  // seed 10
               }});
 }
 
 TEST(SimGolden, ShardedSweep) {
   CheckShape({"sharded sweep", Sweep(ManagerPolicy::kSharded), 1,
               {
-                  0x78c9cfc95f5050a4ull,  // seed 1
+                  0x78b56196b260486cull,  // seed 1
                   0x81392ab70a05836aull,  // seed 2
                   0x409ec0e4466ebe3bull,  // seed 3
-                  0x1b64e75e19afaac9ull,  // seed 4
-                  0x9b645b36d70a97a0ull,  // seed 5
-                  0xc458d2c593e90a54ull,  // seed 6
-                  0x4e328e1703c67c02ull,  // seed 7
-                  0x156f2ed428605371ull,  // seed 8
+                  0xda82c008bc8fcb3cull,  // seed 4
+                  0xa54ed18cc1208a35ull,  // seed 5
+                  0x7c1606fcf7ffe421ull,  // seed 6
+                  0x0c61d4060f151f40ull,  // seed 7
+                  0x76690066e3af4fc2ull,  // seed 8
                   0xaec1900a7e1f4b12ull,  // seed 9
-                  0x3a00eaa49a2af7adull,  // seed 10
+                  0x4724afa485e9a49full,  // seed 10
               }});
 }
 
 TEST(SimGolden, FourHostKill) {
   CheckShape({"4-host sharded kill", Kill(4), 1,
               {
-                  0x3069a93cfa36c013ull,  // seed 1
-                  0xa691212dc3a853d4ull,  // seed 2
-                  0x9c8a0c42edb76699ull,  // seed 3
-                  0xae0aa18db4418cfcull,  // seed 4
-                  0xada003882416d645ull,  // seed 5
-                  0x9197a455b49a862aull,  // seed 6
-                  0x9b975cc9f64137e0ull,  // seed 7
-                  0x7d32aef55efba0b0ull,  // seed 8
+                  0xa30ef0558f9ff5b2ull,  // seed 1
+                  0xa4dd9c778e7431fdull,  // seed 2
+                  0x847eca27dd0e2e55ull,  // seed 3
+                  0xc6692f42fa1dfe5bull,  // seed 4
+                  0x897a2953c10473f7ull,  // seed 5
+                  0x49a2356ff5fba943ull,  // seed 6
+                  0x179319d528d64844ull,  // seed 7
+                  0x177b004b91556145ull,  // seed 8
                   0xeaab6b81c368f103ull,  // seed 9
-                  0xbe4de8a4aa9d3b6full,  // seed 10
+                  0x83f8134b8fb2d1edull,  // seed 10
               }});
 }
 
 TEST(SimGolden, EightHostKill) {
   CheckShape({"8-host sharded kill", Kill(8), 11,
               {
-                  0x57a8f2a10db4bb2cull,  // seed 11
-                  0xf0c6cde610503198ull,  // seed 12
-                  0xd2213a0e0d25bfa4ull,  // seed 13
-                  0x499f1b6dc3b96fc9ull,  // seed 14
-                  0xb77e6f6bbcb3d6a6ull,  // seed 15
-                  0xab7466c82f9ad7b7ull,  // seed 16
-                  0xc9cb1fa50126e4bfull,  // seed 17
-                  0x7902f760cdfb2198ull,  // seed 18
-                  0xec11efb71958d862ull,  // seed 19
-                  0xfd256223c28ffc43ull,  // seed 20
+                  0x480cf24054e59dc0ull,  // seed 11
+                  0x1d64f6cde0491f4bull,  // seed 12
+                  0x72a0edf959fbf9b8ull,  // seed 13
+                  0x803db93196a9c1cdull,  // seed 14
+                  0xc46363a2c7bfb1c2ull,  // seed 15
+                  0x843ad30ee7abc57dull,  // seed 16
+                  0xe7f74084cd284b10ull,  // seed 17
+                  0x8eed59452efdc6ddull,  // seed 18
+                  0x4c1e27b8372f163dull,  // seed 19
+                  0xd7a5eae5c2045951ull,  // seed 20
               }});
 }
 
