@@ -231,7 +231,7 @@ Status FaultHandler::UffdEnsureRange(void* base, size_t len, bool write_protect)
   // waking the faulting thread here lets its store land before the WP pass
   // below — a silent write on what the protocol believes is a read-only
   // copy, i.e. a lost update. The thread must stay parked until the final
-  // protection is in place; UFFDIO_WRITEPROTECT wakes the range by default.
+  // protection is in place.
   const size_t page = PageSize();
   uintptr_t start = reinterpret_cast<uintptr_t>(base);
   const uintptr_t end = start + len;
@@ -258,13 +258,15 @@ Status FaultHandler::UffdEnsureRange(void* base, size_t len, bool write_protect)
   }
   // One WP ioctl over the full range sets the final read-only/read-write
   // state — it covers pages that were already present (EEXIST above) and
-  // the ones CONTINUE just installed writable — and only then wakes any
-  // threads parked on the range.
+  // the ones CONTINUE just installed writable. It wakes nobody either
+  // (removing WP would wake the range by default): the poller wakes the
+  // faulting thread once its fault service has returned, so the thread
+  // never runs ahead of that service's accounting.
   struct uffdio_writeprotect wp;
   memset(&wp, 0, sizeof(wp));
   wp.range.start = reinterpret_cast<unsigned long>(base);
   wp.range.len = len;
-  wp.mode = write_protect ? UFFDIO_WRITEPROTECT_MODE_WP : 0;
+  wp.mode = write_protect ? UFFDIO_WRITEPROTECT_MODE_WP : UFFDIO_WRITEPROTECT_MODE_DONTWAKE;
   if (ioctl(uffd_fd_, UFFDIO_WRITEPROTECT, &wp) != 0) {
     return Status::Errno("UFFDIO_WRITEPROTECT");
   }
@@ -409,10 +411,8 @@ void FaultHandler::PollerLoop() {
     if (timed) {
       metrics_.histogram(Hist::kFaultServiceNs).RecordAlways(MonotonicNowNs() - t0);
     }
-    // The protection upgrade itself (UFFDIO_CONTINUE / WRITEPROTECT) wakes
-    // waiters in the range; the explicit wake covers callbacks that resolved
-    // the fault without touching this page's ptes (e.g. a racing fault that
-    // another thread already serviced).
+    // Protection installs never wake (UffdEnsureRange), so this is the one
+    // wake for the faulting thread, after the callback has finished.
     struct uffdio_range wake;
     wake.start = reinterpret_cast<unsigned long>(addr);
     wake.len = page;
