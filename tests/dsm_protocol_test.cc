@@ -723,8 +723,9 @@ TEST(Protocol, LivenessReportIsSafeWhileDirectoryGrows) {
   done.store(true, std::memory_order_release);
   reporter.join();
   EXPECT_GT(reports, 0u);
-  // Host 0 seeds an entry for every minipage it homes at allocation time:
-  // all of them when centralized, about half when sharded over two hosts.
+  // Host 0's directory bootstraps an entry for every minipage it homes when
+  // host 1's write fault first reaches it: all of them when centralized, about
+  // half when sharded over two hosts.
   const size_t homed = cfg.manager_policy == ManagerPolicy::kSharded ? kCells / 4 : kCells;
   EXPECT_GE(host0.directory()->gauges().entries.load(), homed);
 }
