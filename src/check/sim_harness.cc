@@ -309,8 +309,6 @@ SimResult SimRun::Run() {
   uint64_t kill_step = 0;
   bool killed = false;
   if (kill_enabled) {
-    MP_CHECK(workload_.policy == ManagerPolicy::kSharded)
-        << "kill_one_host needs sharded managers (centralized death is sticky)";
     victim = static_cast<HostId>(1 + seed_ % (workload_.hosts - 1));
     Rng kill_rng(seed_ ^ 0x6b696c6cULL);
     kill_step = kill_rng.Below(300);

@@ -60,8 +60,8 @@ struct SimWorkload {
   // membership recovery. The kill fires only while the victim is between
   // script ops, so the remaining scripts stay executable; survivor accesses
   // to minipages that died with their sole copy are skipped (no kAppRead/
-  // kAppWrite is recorded for them). Requires policy == kSharded — with a
-  // centralized directory a dead host is unrecoverable by design.
+  // kAppWrite is recorded for them). Runs under either policy: a centralized
+  // directory repairs copysets, locks and the barrier on host 0 alone.
   bool kill_one_host = false;
   // Coherence-traffic batching under test (DsmConfig::batch_coherence).
   // Off reproduces the one-datagram-per-minipage paper protocol; batched and

@@ -105,9 +105,10 @@ Status RunForkedCluster(const DsmConfig& config,
   }
   mesh.CloseAll();
 
-  // Watchdog wait: a host that dies mid-protocol leaves its peers blocked at
-  // a barrier, so once any child fails (or the deadline passes) the rest are
-  // killed and the run is reported as failed.
+  // Watchdog wait: survivors of a non-zero host's death recover and finish,
+  // but host 0's death (or a wedged protocol) leaves them blocked, so once any
+  // child fails (or the deadline passes) the rest get a short grace period,
+  // then are killed, and the run is reported as failed.
   Status result = Status::Ok();
   std::vector<bool> done(config.num_hosts, false);
   uint16_t remaining = config.num_hosts;

@@ -1,7 +1,7 @@
 // Chaos suite: every scenario injects a failure the paper's runtime assumes
 // away — a host dying mid-run, a manager reply that never arrives, a delayed
-// ACK path — and asserts the liveness layer turns it into a prompt,
-// diagnostic error on every surviving host instead of a hang.
+// ACK path — and asserts that every surviving host either recovers (a
+// non-zero host's death) or gets a prompt, diagnostic error instead of a hang.
 //
 // The forked scenarios run the paper's deployment shape (one process per
 // host over the SEQPACKET mesh); the in-process scenarios assemble nodes by
@@ -104,36 +104,66 @@ struct FaultyTrio {
 
 // ---- Forked: a host dies mid-run ------------------------------------------
 
-TEST(Chaos, HostDeathMidRunFailsSurvivorsWithinBudget) {
-  const DsmConfig cfg = ChaosConfig(3);
-  const uint64_t t0 = MonotonicNowNs();
-  std::vector<HostOutcome> outcomes;
-  const Status st = RunForkedCluster(
-      cfg,
-      [](DsmNode& node, HostId host) {
+// Runs a three-host forked cluster (centralized directory) in which `victim`
+// SIGKILLs itself, without any cleanup, once every host has reached steady
+// state. The survivors head straight for the runtime's final barrier.
+Status RunWithHostDeath(HostId victim, std::vector<HostOutcome>* outcomes) {
+  return RunForkedCluster(
+      ChaosConfig(3),
+      [victim](DsmNode& node, HostId host) {
         const Status b = node.TryBarrier();  // everyone reaches steady state
         MP_CHECK(b.ok()) << b.ToString();
-        if (host == 1) {
+        if (host == victim) {
           ::usleep(50 * 1000);
-          ::raise(SIGKILL);  // die without any cleanup, mid-protocol
+          ::raise(SIGKILL);  // die mid-protocol
         }
-        // Survivors head for the runtime's final barrier, which can never
-        // complete — host 1 is gone. The liveness layer must fail it.
       },
-      /*timeout_ms=*/60000, &outcomes);
+      /*timeout_ms=*/60000, outcomes);
+}
+
+// Host 0 owns the MPT and the allocator, so its death is the one cluster-wide
+// abort left: no survivor's final barrier can complete, and the liveness
+// layer must fail it on every survivor within the budget.
+TEST(Chaos, HostDeathMidRunFailsSurvivorsWithinBudget) {
+  const uint64_t t0 = MonotonicNowNs();
+  std::vector<HostOutcome> outcomes;
+  const Status st = RunWithHostDeath(0, &outcomes);
   const uint64_t elapsed_ms = (MonotonicNowNs() - t0) / 1000000;
 
   EXPECT_FALSE(st.ok());
   ASSERT_EQ(outcomes.size(), 3u);
-  EXPECT_TRUE(outcomes[1].signaled);
-  EXPECT_EQ(outcomes[1].term_signal, SIGKILL);
-  for (const HostId h : {HostId{0}, HostId{2}}) {
+  EXPECT_TRUE(outcomes[0].signaled);
+  EXPECT_EQ(outcomes[0].term_signal, SIGKILL);
+  for (const HostId h : {HostId{1}, HostId{2}}) {
     // Survivors detected the death themselves (peer-down EOF abort at the
     // final barrier) and self-exited — the watchdog never had to sweep them.
     EXPECT_TRUE(outcomes[h].exited) << "host " << h;
     EXPECT_FALSE(outcomes[h].swept) << "host " << h;
     EXPECT_FALSE(outcomes[h].signaled) << "host " << h;
     EXPECT_EQ(outcomes[h].exit_code, kLivenessExitCode) << "host " << h;
+    EXPECT_LT(outcomes[h].reaped_at_ms, kDetectBudgetMs) << "host " << h;
+  }
+  EXPECT_LT(elapsed_ms, 2 * kDetectBudgetMs);
+}
+
+// Any other host's death is recovered even with a centralized directory:
+// host 0 repairs the barrier, which releases on the two-host live quorum, and
+// both survivors finish cleanly.
+TEST(Chaos, NonZeroHostDeathMidRunLetsSurvivorsFinish) {
+  const uint64_t t0 = MonotonicNowNs();
+  std::vector<HostOutcome> outcomes;
+  const Status st = RunWithHostDeath(1, &outcomes);
+  const uint64_t elapsed_ms = (MonotonicNowNs() - t0) / 1000000;
+
+  EXPECT_FALSE(st.ok());  // host 1 still died
+  ASSERT_EQ(outcomes.size(), 3u);
+  EXPECT_TRUE(outcomes[1].signaled);
+  EXPECT_EQ(outcomes[1].term_signal, SIGKILL);
+  for (const HostId h : {HostId{0}, HostId{2}}) {
+    EXPECT_TRUE(outcomes[h].exited) << "host " << h;
+    EXPECT_FALSE(outcomes[h].swept) << "host " << h;
+    EXPECT_FALSE(outcomes[h].signaled) << "host " << h;
+    EXPECT_EQ(outcomes[h].exit_code, 0) << "host " << h;
     EXPECT_LT(outcomes[h].reaped_at_ms, kDetectBudgetMs) << "host " << h;
   }
   EXPECT_LT(elapsed_ms, 2 * kDetectBudgetMs);
