@@ -91,16 +91,16 @@ void CheckShape(const Shape& shape) {
 TEST(SimGolden, CentralizedSweep) {
   CheckShape({"centralized sweep", Sweep(ManagerPolicy::kCentralized), 1,
               {
-                  0xc8037fcc3edfe5b3ull,  // seed 1
-                  0x94bacc99474cd237ull,  // seed 2
-                  0xf73749ab224ab490ull,  // seed 3
-                  0x6e80f49b3f91e0f8ull,  // seed 4
-                  0x3c4808eff346ee7full,  // seed 5
-                  0x62d04f7699f0ab4full,  // seed 6
-                  0x937e5ec900038053ull,  // seed 7
-                  0xa65c5a17a0e8e5f3ull,  // seed 8
-                  0x95e8284a9dd142a9ull,  // seed 9
-                  0xa8f55a2077591c38ull,  // seed 10
+                  0xa213a207f2f112d3ull,  // seed 1
+                  0x13040023ee22c2e4ull,  // seed 2
+                  0x6123956c0891877aull,  // seed 3
+                  0xee04a43fedf2458cull,  // seed 4
+                  0x50775a1a4d75c627ull,  // seed 5
+                  0x8b7e5efa9ec85165ull,  // seed 6
+                  0x0a5011363bba54d9ull,  // seed 7
+                  0xdf45f140848750dfull,  // seed 8
+                  0xf86c9ca352bfadaeull,  // seed 9
+                  0x8fe3dfe3d6a68683ull,  // seed 10
               }});
 }
 
