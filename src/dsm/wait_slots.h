@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <deque>
 #include <mutex>
+#include <optional>
 #include <string>
 
 #include "src/common/logging.h"
@@ -99,26 +100,12 @@ class WaitSlots {
     }
     for (;;) {
       // Fast path: consume an already-posted reply (or a stale abort token).
-      while (sem_trywait(&s.sem) == 0) {
+      if (sem_trywait(&s.sem) == 0) {
         std::lock_guard<std::mutex> lock(s.mu);
-        if (!s.replies.empty()) {
-          const MsgHeader reply = s.replies.front();
-          s.replies.pop_front();
-          // Cleared in the same critical section as the pop, so an observer
-          // never sees "in wait, no reply queued" for a thread that in fact
-          // holds its reply and is running. A real reply supersedes a
-          // pending kick: the thread is making progress.
-          s.in_wait = false;
-          s.has_kick = false;
-          return reply;
-        }
-        if (s.has_kick) {
-          s.has_kick = false;
-          s.in_wait = false;
-          return s.kicked;
+        if (std::optional<Result<MsgHeader>> woke = TakeWakeLocked(s)) {
+          return *std::move(woke);
         }
         // Token without a reply: an abort wake-up; fall through to report it.
-        break;
       }
       if (aborted_.load(std::memory_order_acquire)) {
         return LeaveWait(s, abort_status());
@@ -140,17 +127,8 @@ class WaitSlots {
         return LeaveWait(s, Status::Errno("sem_wait"));
       }
       std::lock_guard<std::mutex> lock(s.mu);
-      if (!s.replies.empty()) {
-        const MsgHeader reply = s.replies.front();
-        s.replies.pop_front();
-        s.in_wait = false;
-        s.has_kick = false;
-        return reply;
-      }
-      if (s.has_kick) {
-        s.has_kick = false;
-        s.in_wait = false;
-        return s.kicked;
+      if (std::optional<Result<MsgHeader>> woke = TakeWakeLocked(s)) {
+        return *std::move(woke);
       }
       // Woken without a reply: abort token — loop re-checks aborted_.
     }
@@ -276,6 +254,27 @@ class WaitSlots {
     }
     s.held_wakes++;
     return true;
+  }
+
+  // With s.mu held: ends the wait with the oldest queued reply, else a
+  // pending kick's status; nullopt for a token that carried neither (an
+  // abort). in_wait clears in the same critical section as the pop, so an
+  // observer never sees a thread that holds its reply as blocked. A reply
+  // supersedes a pending kick: the thread is making progress.
+  static std::optional<Result<MsgHeader>> TakeWakeLocked(Slot& s) {
+    if (!s.replies.empty()) {
+      const MsgHeader reply = s.replies.front();
+      s.replies.pop_front();
+      s.in_wait = false;
+      s.has_kick = false;
+      return reply;
+    }
+    if (s.has_kick) {
+      s.has_kick = false;
+      s.in_wait = false;
+      return s.kicked;
+    }
+    return std::nullopt;
   }
 
   // Clears in_wait on a non-reply exit from WaitFor.
