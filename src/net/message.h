@@ -181,8 +181,9 @@ static_assert(sizeof(MsgHeader) == 32, "header must stay at 32 bytes, as in the 
 // unbatched message, keeping single-record frames bit-identical to the v0
 // wire format. type/flags/from/seq are shared by every record; the types
 // that batch either ignore from/seq on receive (kInvalidateRequest) or carry
-// a uniform value per destination (kInvalidateReply's from, kAck's
-// kNoWaitSlot seq, a group fetch's slot/gen).
+// a uniform value per destination (kInvalidateReply's from, the kNoWaitSlot
+// seq of prefetch and push ACKs, a group fetch's slot/gen on its requests
+// and ACKs).
 struct BatchRecord {
   uint64_t addr = 0;      // packed GlobalAddr
   uint64_t privbase = 0;  // object offset of the minipage base
