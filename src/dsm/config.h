@@ -17,12 +17,13 @@ namespace millipage {
 class TraceSink;
 
 // Placement of per-id manager state (directory entries, lock queues, the
-// barrier). Translation (MPT + allocator) always lives on kManagerHost: a
-// faulting host cannot know a minipage id before translation, so requests
-// take one extra header hop to the owning shard when the two differ.
+// barrier), and nothing else: both policies run the same protocol, the same
+// directory bootstrap and the same recovery. Translation (MPT + allocator)
+// always lives on kManagerHost: a faulting host cannot know a minipage id
+// before translation, so requests take one extra header hop to the owning
+// shard when the two differ.
 enum class ManagerPolicy : uint8_t {
-  kCentralized,  // everything on kManagerHost — bit-compatible with the
-                 // original single-manager protocol
+  kCentralized,  // everything on kManagerHost, the paper's single manager
   kSharded,      // directory/lock/barrier state hashed across all hosts
 };
 
@@ -64,8 +65,9 @@ struct DsmConfig {
   // a dead host, probe linearly to the next live one. Linear probing keeps
   // the reassignment minimal (only ids homed on dead hosts move) and every
   // host with the same live mask agrees on the answer — the property shard
-  // failover relies on. Centralized deployments never rehash: losing host 0
-  // loses the only directory (and the MPT), which is unrecoverable.
+  // failover relies on. Centralized deployments never rehash: host 0's
+  // directory repairs every id itself when another host dies, and host 0's
+  // own death is unrecoverable anyway (it holds the MPT and allocator).
   HostId ManagerOfLive(uint32_t id, const HostSet& live) const {
     if (manager_policy == ManagerPolicy::kCentralized) {
       return kManagerHost;
